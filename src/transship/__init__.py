@@ -11,8 +11,8 @@ from .core import (Arc, FlowNetwork, MAX_TERMINALS, Rat, SupplyVector,
                    TerminalSet, format_rational, net_supply, parse_rational,
                    validate_instance)
 from .errors import (ExpansionCapExceeded, InfeasibleDeadline,
-                     InfeasibleForever, InstanceFormatError, ProfileTruncated,
-                     SubsetCapExceeded, TransshipError)
+                     InfeasibleForever, InstanceFormatError, InvariantViolation,
+                     ProfileTruncated, SubsetCapExceeded, TransshipError)
 from .expansion import (FlowOverTime, TimeExpandedNetwork, XArc,
                         build_time_expanded, extract_transshipment,
                         feasible_by_expansion, scale_to_integral,
@@ -31,7 +31,8 @@ from .ssp import (ExtendedNetwork, FlowProfile, ProfileCache, Segment,
 __all__ = [
     "Arc", "ExpansionCapExceeded", "ExtendedNetwork", "FlowNetwork",
     "FlowOverTime", "FlowProfile", "InfeasibleDeadline", "InfeasibleForever",
-    "InstanceFormatError", "IterationRecord", "MAX_TERMINALS",
+    "InstanceFormatError", "InvariantViolation", "IterationRecord",
+    "MAX_TERMINALS",
     "ProfileCache", "ProfileTruncated", "Rat", "Segment", "SlackMinimum",
     "SolveResult", "SubsetCapExceeded", "SupplyVector", "TerminalSet",
     "TimeExpandedNetwork", "TransshipError", "XArc", "breakpoints",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FlowNetwork, format_rational, SupplyVector
+from .errors import InvariantViolation
 from .horizon import breakpoints
 from .instances import generate_instance, parse_instance, sources_reach_sinks
 from .sfm import min_slack
@@ -103,7 +104,9 @@ def run_bench(seeds) -> tuple[list[BenchRow], list[tuple[int, Fraction, Fraction
         start = time.perf_counter()
         jumps = solve_newton_jumps(network, b, cache=cache)
         wall_jumps = time.perf_counter() - start
-        assert simple.theta_star == jumps.theta_star
+        if simple.theta_star != jumps.theta_star:
+            raise InvariantViolation("seed %d: solver variants disagree (%s, %s)"
+                                     % (seed, simple.theta_star, jumps.theta_star))
         labels = classify_iterations(jumps, network, cache=cache)
         rows.append(BenchRow(
             seed=seed, n=network.node_count, m=len(network.arcs), k=network.k,

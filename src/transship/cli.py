@@ -9,8 +9,9 @@ Subcommands:
   bench     seeded corpus benchmark, CSV output
   gen       emit a random solvable instance document
 
-Exit codes: 0 success, 1 infeasible, 2 bad input, 3 resource cap exceeded.
-Errors are written to stderr as one JSON object per failure.
+Exit codes: 0 success, 1 infeasible, 2 bad input, 3 resource cap exceeded,
+4 internal invariant violated (a bug).  Errors are written to stderr as one
+JSON object per failure.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import sys
 from .bench import run_bench, write_envelope_csv, write_rows_csv
 from .core import format_rational, parse_rational, validate_instance
 from .errors import (ExpansionCapExceeded, InfeasibleDeadline,
-                     InfeasibleForever, InstanceFormatError, SubsetCapExceeded)
+                     InfeasibleForever, InstanceFormatError, InvariantViolation,
+                     SubsetCapExceeded)
 from .expansion import DEFAULT_NODE_CAP, extract_transshipment
-from .instances import dump_document, generate_instance, parse_instance
+from .instances import (dump_document, generate_instance, parse_instance,
+                        reject_duplicate_keys)
 from .sfm import DEFAULT_SUBSET_CAP, minimize_slack
 from .solver import (classify_iterations, solve_newton_jumps,
                      solve_newton_simple, theta_star_bruteforce)
@@ -34,11 +37,13 @@ from .ssp import ProfileCache
 def _load_instance(path: str):
     try:
         with open(path) as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=reject_duplicate_keys)
     except OSError as exc:
         raise InstanceFormatError("cannot read %s: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:
         raise InstanceFormatError("%s is not valid JSON: %s" % (path, exc)) from None
+    except InstanceFormatError as exc:
+        raise InstanceFormatError("%s: %s" % (path, exc)) from None
     network, b = parse_instance(doc)
     problems = validate_instance(network, b)
     if problems:
@@ -55,6 +60,14 @@ def _theta(args):
     if value < 0:
         raise InstanceFormatError("bad --theta: deadline must be nonnegative")
     return value
+
+
+def _check_caps(args):
+    for flag in ("bf_cap", "expansion_cap"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise InstanceFormatError("bad --%s: must be nonnegative, got %d"
+                                      % (flag.replace("_", "-"), value))
 
 
 def _emit(args, payload: dict, text: str):
@@ -75,7 +88,10 @@ def cmd_solve(args) -> int:
         results["jumps"] = solve_newton_jumps(network, b, cache=cache,
                                               subset_cap=args.bf_cap)
     stars = {r.theta_star for r in results.values()}
-    assert len(stars) == 1, "solver variants disagree"
+    if len(stars) != 1:
+        raise InvariantViolation("solver variants disagree: %s" % ", ".join(
+            "%s gives %s" % (name, r.theta_star)
+            for name, r in sorted(results.items())))
     star = stars.pop()
     payload = {"theta_star": format_rational(star),
                "iterations": {name: len(r.trace) for name, r in results.items()}}
@@ -246,6 +262,7 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_caps(args)
         return args.func(args)
     except InstanceFormatError as exc:
         return _fail("input", exc, 2)
@@ -257,6 +274,8 @@ def main(argv=None) -> int:
         return _fail("resource-cap", exc, 3)
     except ExpansionCapExceeded as exc:
         return _fail("resource-cap", exc, 3)
+    except InvariantViolation as exc:
+        return _fail("internal", exc, 4)
     except ValueError as exc:
         return _fail("input", exc, 2)
 

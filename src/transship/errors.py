@@ -49,6 +49,16 @@ class ProfileTruncated(TransshipError):
     """A profile was cut off before exhaustion and cannot certify the query."""
 
 
+class InvariantViolation(TransshipError):
+    """An internal consistency check failed.
+
+    These checks guard results the algorithms guarantee (certificates,
+    lattice minimizers, agreeing solver variants); a failure means a bug,
+    not bad input.  They are ordinary raises, so they also run under
+    ``python -O``.
+    """
+
+
 class SubsetCapExceeded(TransshipError):
     """Too many terminals for brute-force subset enumeration."""
 

@@ -67,9 +67,8 @@ def scale_to_integral(network: FlowNetwork, theta: Rat):
         sources=network.sources,
         sinks=network.sinks,
     )
-    steps = theta * q
-    assert steps.denominator == 1
-    return scaled, int(steps), q
+    # q is a multiple of theta's denominator, so theta * q is an integer.
+    return scaled, theta.numerator * (q // theta.denominator), q
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ __all__ = [
     "dump_document",
     "generate_instance",
     "sources_reach_sinks",
+    "reject_duplicate_keys",
 ]
 
 
@@ -55,11 +56,22 @@ def _as_rational(value, where: str) -> Rat:
         raise InstanceFormatError("%s: %s" % (where, exc)) from None
 
 
+def reject_duplicate_keys(pairs) -> dict:
+    """``object_pairs_hook`` for ``json``: a repeated key is an error, not a
+    silent last-one-wins."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceFormatError("duplicate key %r in a JSON object" % key)
+        doc[key] = value
+    return doc
+
+
 def parse_instance(doc) -> tuple[FlowNetwork, SupplyVector]:
     """Build an instance from a parsed JSON object (or a JSON string)."""
     if isinstance(doc, (str, bytes)):
         try:
-            doc = json.loads(doc)
+            doc = json.loads(doc, object_pairs_hook=reject_duplicate_keys)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError("not valid JSON: %s" % exc) from None
     if not isinstance(doc, dict):

@@ -16,11 +16,12 @@ blowups.  Callers can plug in a polynomial-time submodular minimizer via the
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FlowNetwork, Rat, SupplyVector, TerminalSet
-from .errors import SubsetCapExceeded
+from .core import FlowNetwork, Rat, SupplyVector, TerminalSet, net_supply
+from .errors import InvariantViolation, SubsetCapExceeded
 from .horizon import value_at
 from .ssp import ProfileCache
 
@@ -44,20 +45,16 @@ class SlackMinimum:
     strategy: str
 
 
-def _net_supply_table(b: SupplyVector, k: int) -> list[Fraction]:
-    """Net supply for every bit set, built incrementally."""
-    table = [Fraction(0)] * (1 << k)
-    for bits in range(1, 1 << k):
-        low = bits & -bits
-        table[bits] = table[bits ^ low] + b.values[low.bit_length() - 1]
-    return table
-
-
 def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
                    cache: ProfileCache | None = None,
                    subset_cap: int = DEFAULT_SUBSET_CAP,
                    strategy=None) -> SlackMinimum:
     """Find the minimal subset attaining the minimum slack at ``theta``.
+
+    Slacks are compared as integers over one shared denominator: with
+    ``theta = p/q``, a subset's value is read off its profile's prefix sums
+    on the cache's grid, up to the last segment no longer than ``theta``.
+    Only the minimum becomes a rational again.
 
     ``strategy``, when given, replaces the brute-force enumeration entirely;
     it is called as ``strategy(network, b, theta, cache)`` and must return a
@@ -70,20 +67,33 @@ def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
         raise SubsetCapExceeded(k, subset_cap)
     if cache is None:
         cache = ProfileCache(network)
-    need = _net_supply_table(b, k)
+    grid = cache.grid
+    supply_scale, need = cache.need_table(b)
+    q = theta.denominator
+    scaled = theta.numerator * grid.time_scale     # theta * time_scale * q
+    cut = scaled // q
+    gain, cost = supply_scale * scaled, supply_scale * q
     best = None
     best_and = 0
     for bits in range(1 << k):
-        slack = value_at(cache.profile(bits), theta) - need[bits]
+        prof = cache.profile(bits)
+        j = bisect.bisect_right(prof.lengths, cut)
+        slack = (gain * prof.amount_sums[j] - cost * prof.moment_sums[j]
+                 - q * need[bits])
         if best is None or slack < best:
             best = slack
             best_and = bits
         elif slack == best:
             best_and &= bits
+    value = Fraction(best, q * grid.rate_scale * grid.time_scale * supply_scale)
+    subset = TerminalSet(best_and, k)
     # Minimizers of a submodular function form a lattice, so the
-    # intersection of all of them is itself a minimizer.
-    assert value_at(cache.profile(best_and), theta) - need[best_and] == best
-    return SlackMinimum(TerminalSet(best_and, k), best, "brute-force")
+    # intersection of all of them is itself a minimizer.  Recomputing its
+    # slack in rationals also checks the integer arithmetic above.
+    if value_at(cache.profile(best_and), theta) - net_supply(b, subset) != value:
+        raise InvariantViolation("subset %s does not attain the minimum slack %s "
+                                 "at %s" % (subset.label(network), value, theta))
+    return SlackMinimum(subset, value, "brute-force")
 
 
 def min_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, **kwargs) -> Rat:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FlowNetwork, Rat, SupplyVector, TerminalSet, net_supply
-from .errors import SubsetCapExceeded
+from .errors import InvariantViolation, SubsetCapExceeded
 from .horizon import breakpoints, crossing_time, slope_left, value_at
 from .sfm import DEFAULT_SUBSET_CAP, minimize_slack
 from .ssp import ProfileCache
@@ -98,7 +98,9 @@ def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
         if minimum.value >= 0:
             break
         subset = minimum.subset
-        assert subset.bits not in seen, "subset repeated; envelope is not advancing"
+        if subset.bits in seen:
+            raise InvariantViolation("subset %s repeated; envelope is not advancing"
+                                     % subset.label(network))
         seen.add(subset.bits)
         profile = cache.profile(subset)
         prime = crossing_time(profile, net_supply(b, subset),
@@ -110,7 +112,10 @@ def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
                 # The chosen subset rose to zero at prime, so its value
                 # function has positive slope just below it.
                 slope = slope_left(profile, prime)
-                assert slope > 0
+                if slope <= 0:
+                    raise InvariantViolation(
+                        "subset %s has slope %s below its crossing %s"
+                        % (subset.label(network), slope, prime))
                 step = -slack_prime / slope
                 jump = _largest_negative_probe(
                     lambda j: envelope(prime + j * step).value < 0,

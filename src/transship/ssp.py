@@ -17,19 +17,24 @@ convex in the deadline.  Each segment carries a certificate: a -1/0/+1 vector
 over the original arcs (forward/backward use on the augmenting path) whose
 inner product with the transit times reproduces the segment length exactly.
 
-Everything here is exact rational arithmetic; ties in the shortest-path
-search are broken by node id so repeated runs produce identical profiles.
+The search runs on Python ints.  Each instance is put on an integer grid
+once (``IntegerGrid``): transit times are multiplied by the lcm of their
+denominators, capacities by the lcm of theirs.  Scaling by positive
+constants keeps every comparison, so the integer search takes exactly the
+paths a rational one would, and a returned profile holds the same exact
+rational segments.  Ties in the shortest-path search are broken by node id
+so repeated runs produce identical profiles.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Arc, FlowNetwork, Rat, TerminalSet
-from .errors import ProfileTruncated
+from .core import Arc, FlowNetwork, Rat, SupplyVector, TerminalSet
+from .errors import InvariantViolation, ProfileTruncated
 
 __all__ = [
     "ExtendedNetwork",
@@ -63,30 +68,32 @@ class ExtendedNetwork:
         return self.arcs[self.original_count:]
 
 
-def build_extended(network: FlowNetwork, subset: TerminalSet) -> ExtendedNetwork:
-    """Wire a super source to S's sources and S's outside sinks to a super sink."""
+def _hookups(network: FlowNetwork, subset: TerminalSet) -> list[tuple[int, int]]:
+    """Auxiliary arcs as (tail, head): the super source ``n`` feeds S's
+    sources, and the sinks outside S drain into the super sink ``n + 1``."""
     if subset.width != network.k:
         raise ValueError("subset width %d does not match %d terminals"
                          % (subset.width, network.k))
     n = network.node_count
-    s, t = n, n + 1
-    big = network.capacity_bound
-    arcs = list(network.arcs)
     n_src = len(network.sources)
-    for i, v in enumerate(network.sources):
-        if i in subset:
-            arcs.append(Arc(s, v, big, Fraction(0)))
-    for j, v in enumerate(network.sinks):
-        if (n_src + j) not in subset:
-            arcs.append(Arc(v, t, big, Fraction(0)))
+    return ([(n, v) for i, v in enumerate(network.sources) if i in subset]
+            + [(v, n + 1) for j, v in enumerate(network.sinks)
+               if n_src + j not in subset])
+
+
+def build_extended(network: FlowNetwork, subset: TerminalSet) -> ExtendedNetwork:
+    """Wire a super source to S's sources and S's outside sinks to a super sink."""
+    n = network.node_count
+    big = network.capacity_bound
+    aux = tuple(Arc(u, v, big, Fraction(0)) for u, v in _hookups(network, subset))
     return ExtendedNetwork(
         base=network,
         subset=subset,
         node_count=n + 2,
-        arcs=tuple(arcs),
+        arcs=network.arcs + aux,
         original_count=len(network.arcs),
-        super_source=s,
-        super_sink=t,
+        super_source=n,
+        super_sink=n + 1,
     )
 
 
@@ -106,10 +113,19 @@ class FlowProfile:
     ``exhausted`` records whether the search ran until no augmenting path
     remained; only then does the segment list describe the value function
     for every deadline.
+
+    ``compute_profile`` also records the segments on the instance's
+    ``IntegerGrid``, for the envelope: ``lengths`` in units of
+    1/time_scale, and prefix sums of amount (units of 1/rate_scale) and of
+    amount * length, where entry j sums the first j segments.  A profile
+    assembled by hand leaves them empty and works only with ``horizon``.
     """
 
     segments: tuple[Segment, ...]
     exhausted: bool
+    lengths: tuple[int, ...] = ()
+    amount_sums: tuple[int, ...] = ()
+    moment_sums: tuple[int, ...] = ()
 
     def max_static_value(self) -> Rat:
         """Largest sustainable flow rate (the static max-flow value)."""
@@ -124,22 +140,47 @@ class FlowProfile:
         return bool(self.segments) and theta < self.segments[-1].length
 
 
+class IntegerGrid:
+    """An instance's arcs scaled to integers.
+
+    ``arcs`` holds (tail, head, capacity * rate_scale, transit * time_scale)
+    per arc, where time_scale is the lcm of the transit denominators and
+    rate_scale that of the capacity denominators.  ``bound`` is
+    ``capacity_bound * rate_scale``, the capacity of auxiliary arcs.
+    """
+
+    __slots__ = ("time_scale", "rate_scale", "arcs", "bound")
+
+    def __init__(self, network: FlowNetwork):
+        lt = math.lcm(*(a.transit.denominator for a in network.arcs))
+        lc = math.lcm(*(a.capacity.denominator for a in network.arcs))
+        self.time_scale, self.rate_scale = lt, lc
+        self.arcs = tuple(
+            (a.tail, a.head,
+             a.capacity.numerator * (lc // a.capacity.denominator),
+             a.transit.numerator * (lt // a.transit.denominator))
+            for a in network.arcs)
+        self.bound = sum(arc[2] for arc in self.arcs)
+
+
 class _Residual:
-    """Paired-entry residual graph with node potentials."""
+    """Paired-entry residual graph with node potentials, on integers."""
 
     __slots__ = ("n", "adj", "potential")
 
-    def __init__(self, ext: ExtendedNetwork):
-        self.n = ext.node_count
-        self.adj = [[] for _ in range(self.n)]
+    def __init__(self, grid: IntegerGrid, node_count: int, hookups):
+        self.n = node_count + 2
+        self.adj = adj = [[] for _ in range(self.n)]
+        m = len(grid.arcs)
+        aux = tuple((u, v, grid.bound, 0) for u, v in hookups)
         # entry: [to, cap, cost, rev_index, original_arc_index, direction]
-        for idx, a in enumerate(ext.arcs):
-            orig = idx if idx < ext.original_count else None
-            fwd = [a.head, a.capacity, a.transit, len(self.adj[a.head]), orig, 1]
-            bwd = [a.tail, Fraction(0), -a.transit, len(self.adj[a.tail]), orig, -1]
-            self.adj[a.tail].append(fwd)
-            self.adj[a.head].append(bwd)
-        self.potential = [Fraction(0)] * self.n
+        for idx, (tail, head, cap, cost) in enumerate(grid.arcs + aux):
+            orig = idx if idx < m else None
+            fwd = [head, cap, cost, len(adj[head]), orig, 1]
+            bwd = [tail, 0, -cost, len(adj[tail]), orig, -1]
+            adj[tail].append(fwd)
+            adj[head].append(bwd)
+        self.potential = [0] * self.n
 
     def shortest_path(self, s: int, t: int):
         """Dijkstra on reduced costs; returns (true length, parent map) or None.
@@ -148,35 +189,36 @@ class _Residual:
         on strict improvement, so the chosen path is a deterministic function
         of the residual state.
         """
+        adj, pot = self.adj, self.potential
         dist = [None] * self.n
         parent = [None] * self.n
-        dist[s] = Fraction(0)
-        heap = [(Fraction(0), s)]
-        pot = self.potential
+        dist[s] = 0
+        heap = [(0, s)]
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            d, u = heapq.heappop(heap)
-            if dist[u] is not None and d > dist[u]:
+            d, u = pop(heap)
+            if d > dist[u]:
                 continue
-            for i, entry in enumerate(self.adj[u]):
+            base = d + pot[u]
+            for i, entry in enumerate(adj[u]):
                 if entry[1] <= 0:
                     continue
                 v = entry[0]
-                nd = d + entry[2] + pot[u] - pot[v]
-                if dist[v] is None or nd < dist[v]:
+                nd = base + entry[2] - pot[v]
+                old = dist[v]
+                if old is None or nd < old:
                     dist[v] = nd
                     parent[v] = (u, i)
-                    heapq.heappush(heap, (nd, v))
-        if dist[t] is None:
-            return None
+                    push(heap, (nd, v))
         reach_t = dist[t]
+        if reach_t is None:
+            return None
         for v in range(self.n):
-            if dist[v] is None or dist[v] > reach_t:
-                pot[v] += reach_t
-            else:
-                pot[v] += dist[v]
+            dv = dist[v]
+            pot[v] += reach_t if dv is None or dv > reach_t else dv
         return pot[t] - pot[s], parent
 
-    def augment(self, s: int, t: int, parent) -> tuple[Rat, dict]:
+    def augment(self, s: int, t: int, parent) -> tuple[int, dict]:
         """Push the bottleneck along the parent path; return (amount, arc uses)."""
         bottleneck = None
         v = t
@@ -199,50 +241,90 @@ class _Residual:
         return bottleneck, uses
 
 
-def compute_profile(network: FlowNetwork, subset: TerminalSet) -> FlowProfile:
-    """Run successive shortest paths to exhaustion for one subset."""
-    ext = build_extended(network, subset)
-    res = _Residual(ext)
-    m = ext.original_count
-    segments = []
+def compute_profile(network: FlowNetwork, subset: TerminalSet,
+                    grid: IntegerGrid | None = None) -> FlowProfile:
+    """Run successive shortest paths to exhaustion for one subset.
+
+    ``grid`` is the network's ``IntegerGrid``; ``ProfileCache`` passes the
+    one it built, so an instance is scaled once however many subsets it has.
+    """
+    if grid is None:
+        grid = IntegerGrid(network)
+    res = _Residual(grid, network.node_count, _hookups(network, subset))
+    s, t = network.node_count, network.node_count + 1
+    segments, lengths, amount_sums, moment_sums = [], [], [0], [0]
     while True:
-        found = res.shortest_path(ext.super_source, ext.super_sink)
+        found = res.shortest_path(s, t)
         if found is None:
             break
         length, parent = found
-        amount, uses = res.augment(ext.super_source, ext.super_sink, parent)
-        certificate = tuple(uses.get(i, 0) for i in range(m))
+        amount, uses = res.augment(s, t, parent)
         # A simple path crosses each original arc at most once, so the
         # certificate must reproduce the length exactly.
-        assert sum((network.arcs[i].transit * c for i, c in enumerate(certificate)),
-                   Fraction(0)) == length
-        assert amount > 0
-        if segments:
-            assert length >= segments[-1].length
-        segments.append(Segment(length, amount, certificate))
-    return FlowProfile(segments=tuple(segments), exhausted=True)
+        if sum(grid.arcs[i][3] * c for i, c in uses.items()) != length:
+            raise InvariantViolation(
+                "segment %d of subset %#x: certificate does not reproduce "
+                "its length" % (len(segments), subset.bits))
+        if amount <= 0:
+            raise InvariantViolation("segment %d of subset %#x carries no flow"
+                                     % (len(segments), subset.bits))
+        if lengths and length < lengths[-1]:
+            raise InvariantViolation("segment %d of subset %#x is shorter than "
+                                     "the one before" % (len(segments), subset.bits))
+        certificate = [0] * len(grid.arcs)
+        for i, c in uses.items():
+            certificate[i] = c
+        segments.append(Segment(Fraction(length, grid.time_scale),
+                                Fraction(amount, grid.rate_scale),
+                                tuple(certificate)))
+        lengths.append(length)
+        amount_sums.append(amount_sums[-1] + amount)
+        moment_sums.append(moment_sums[-1] + amount * length)
+    return FlowProfile(segments=tuple(segments), exhausted=True,
+                       lengths=tuple(lengths), amount_sums=tuple(amount_sums),
+                       moment_sums=tuple(moment_sums))
 
 
 class ProfileCache:
     """Memoizes one profile per terminal subset of a fixed instance.
 
-    Profiles are immutable, so concurrent readers are safe; a lock makes
-    insertion exclusive.  Keys are the subset bit patterns.
+    The instance is scaled to integers once, here (``grid``), and every
+    profile is computed on that grid.  Keys are the subset bit patterns.
     """
 
     def __init__(self, network: FlowNetwork):
         self.network = network
+        self.grid = IntegerGrid(network)
         self._profiles: dict[int, FlowProfile] = {}
-        self._lock = threading.Lock()
+        self._needs: dict[SupplyVector, tuple[int, list[int]]] = {}
 
     def profile(self, subset: TerminalSet | int) -> FlowProfile:
         bits = subset.bits if isinstance(subset, TerminalSet) else subset
         hit = self._profiles.get(bits)
-        if hit is not None:
-            return hit
-        prof = compute_profile(self.network, TerminalSet(bits, self.network.k))
-        with self._lock:
-            return self._profiles.setdefault(bits, prof)
+        if hit is None:
+            hit = compute_profile(self.network, TerminalSet(bits, self.network.k),
+                                  self.grid)
+            self._profiles[bits] = hit
+        return hit
+
+    def need_table(self, b: SupplyVector) -> tuple[int, list[int]]:
+        """Net supply of every terminal bit set, on the grid; built once per ``b``.
+
+        Returns ``(supply_scale, table)``: supply_scale is the lcm of the
+        supply denominators, and ``table[bits]`` is that subset's net supply
+        times ``supply_scale * rate_scale * time_scale``.
+        """
+        hit = self._needs.get(b)
+        if hit is None:
+            den = math.lcm(*(x.denominator for x in b.values))
+            unit = den * self.grid.rate_scale * self.grid.time_scale
+            values = [x.numerator * (unit // x.denominator) for x in b.values]
+            table = [0] * (1 << self.network.k)
+            for bits in range(1, len(table)):
+                low = bits & -bits
+                table[bits] = table[bits ^ low] + values[low.bit_length() - 1]
+            hit = self._needs[b] = (den, table)
+        return hit
 
     def __len__(self) -> int:
         return len(self._profiles)

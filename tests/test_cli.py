@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,64 @@ class TestGen:
         _, first, _ = run(capsys, "gen", "--seed", "3")
         _, second, _ = run(capsys, "gen", "--seed", "3")
         assert first == second
+
+
+class TestInputChecks:
+    def test_negative_bf_cap(self, capsys, instance_file):
+        code, out, err = run(capsys, "solve", "--input", instance_file,
+                             "--bf-cap", "-1")
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "input" and "--bf-cap" in doc["message"]
+
+    def test_negative_expansion_cap(self, capsys, instance_file):
+        code, out, err = run(capsys, "extract", "--input", instance_file,
+                             "--theta", "5/2", "--expansion-cap", "-5")
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "input" and "--expansion-cap" in doc["message"]
+
+    def test_duplicate_key(self, capsys, tmp_path):
+        # the second "sinks" used to win silently and surface as an
+        # unbalanced-supplies complaint
+        path = tmp_path / "dup.json"
+        path.write_text('{"nodes": 2, "arcs": [], "sources": [],'
+                        ' "sinks": [{"node": 1, "demand": 0}], "sinks": []}')
+        code, _, err = run(capsys, "solve", "--input", str(path))
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"] == "input" and "'sinks'" in doc["message"]
+
+
+# Runs the CLI under ``python -O`` with one stub that breaks an invariant;
+# the check must still fire and map to exit code 4.
+O_SCRIPT = """
+import sys
+assert False, "assertions are on; this must run under -O"
+from transship import cli, ssp
+if sys.argv[1] == "segment-length":
+    real = ssp._Residual.shortest_path
+    def wrong(self, s, t):
+        found = real(self, s, t)
+        return None if found is None else (found[0] + 1, found[1])
+    ssp._Residual.shortest_path = wrong
+else:
+    real = cli.solve_newton_simple
+    def wrong(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return result.__class__(result.theta_star + 1, result.trace,
+                                result.algorithm, result.k)
+    cli.solve_newton_simple = wrong
+sys.exit(cli.main(["solve", "--algo", "both", "--input", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("stub", ["segment-length", "solver-variants"])
+def test_invariant_checks_survive_optimize_flag(instance_file, stub):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", O_SCRIPT, stub, instance_file],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "internal"

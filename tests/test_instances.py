@@ -71,6 +71,12 @@ class TestParsing:
         with pytest.raises(InstanceFormatError):
             parse_instance(doc)
 
+    def test_duplicate_key_in_json_text_rejected(self):
+        text = json.dumps(minimal_doc())[:-1] + ', "sinks": []}'
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        assert "'sinks'" in str(err.value)
+
     def test_non_dict_rejected(self):
         with pytest.raises(InstanceFormatError):
             parse_instance([1, 2, 3])

@@ -1,0 +1,182 @@
+"""Differential tests on small instances with rational data.
+
+The acceptance corpus only has integer capacities and transit times.  Here
+capacities and transit times have denominators up to 12, some arcs have
+zero capacity, and some instances carry a cycle of zero transit time.  The
+integer profile kernel is compared against the rational successive-shortest-
+paths algorithm kept below as the reference, and the solvers against each
+other and against two exact symmetries of the problem.
+"""
+
+import heapq
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transship import (Arc, FlowNetwork, ProfileCache, SupplyVector,
+                       TerminalSet, breakpoints, build_extended, compute_profile,
+                       minimize_slack, net_supply, solve_newton_jumps,
+                       solve_newton_simple, sources_reach_sinks,
+                       theta_star_bruteforce, value_at)
+
+# ---------------------------------------------------------------------------
+# Reference: successive shortest paths on Fractions, as the package ran them
+# before profiles moved to integers.  Same residual layout and tie-breaking.
+
+
+def reference_profile(network, subset):
+    """(length, amount, certificate) per segment, in rational arithmetic."""
+    ext = build_extended(network, subset)
+    adj = [[] for _ in range(ext.node_count)]
+    for idx, a in enumerate(ext.arcs):
+        orig = idx if idx < ext.original_count else None
+        fwd = [a.head, a.capacity, a.transit, len(adj[a.head]), orig, 1]
+        bwd = [a.tail, F(0), -a.transit, len(adj[a.tail]), orig, -1]
+        adj[a.tail].append(fwd)
+        adj[a.head].append(bwd)
+    pot = [F(0)] * ext.node_count
+    s, t = ext.super_source, ext.super_sink
+    segments = []
+    while True:
+        dist = [None] * ext.node_count
+        parent = [None] * ext.node_count
+        dist[s] = F(0)
+        heap = [(F(0), s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for i, entry in enumerate(adj[u]):
+                if entry[1] <= 0:
+                    continue
+                v = entry[0]
+                nd = d + entry[2] + pot[u] - pot[v]
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (u, i)
+                    heapq.heappush(heap, (nd, v))
+        if dist[t] is None:
+            return segments
+        reach = dist[t]
+        for v in range(ext.node_count):
+            pot[v] += reach if dist[v] is None or dist[v] > reach else dist[v]
+        path = []
+        v = t
+        while v != s:
+            u, i = parent[v]
+            path.append(adj[u][i])
+            v = u
+        amount = min(entry[1] for entry in path)
+        uses = {}
+        for entry in path:
+            entry[1] -= amount
+            adj[entry[0]][entry[3]][1] += amount
+            if entry[4] is not None:
+                uses[entry[4]] = entry[5]
+        certificate = tuple(uses.get(i, 0) for i in range(ext.original_count))
+        segments.append((pot[t] - pot[s], amount, certificate))
+
+
+# ---------------------------------------------------------------------------
+# Instances: a chain through every node with sources ahead of sinks (so a
+# finite answer exists), extra arcs that may have zero capacity, and
+# optionally a two-arc cycle of zero transit time.
+
+transits = st.fractions(min_value=0, max_value=6, max_denominator=12)
+positive = st.fractions(min_value=F(1, 12), max_value=6, max_denominator=12)
+capacities = st.one_of(st.just(F(0)), positive)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(2, 5))
+    chain = draw(st.permutations(range(n)))
+    arcs = [Arc(chain[i], chain[i + 1], draw(positive), draw(transits))
+            for i in range(n - 1)]
+    for _ in range(draw(st.integers(0, 4))):
+        tail = draw(st.integers(0, n - 1))
+        head = draw(st.integers(0, n - 2))
+        head += head >= tail
+        arcs.append(Arc(tail, head, draw(capacities), draw(transits)))
+    if draw(st.booleans()):
+        u, v = chain[0], chain[-1]
+        arcs.append(Arc(u, v, draw(positive), F(0)))
+        arcs.append(Arc(v, u, draw(positive), F(0)))
+    k = draw(st.integers(2, min(n, 4)))
+    positions = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                     max_size=k, unique=True)))
+    n_src = draw(st.integers(1, k - 1))
+    sources = tuple(chain[p] for p in positions[:n_src])
+    sinks = tuple(chain[p] for p in positions[n_src:])
+    network = FlowNetwork(n, tuple(arcs), sources, sinks)
+    supplies = [draw(positive) for _ in sources]
+    weights = [draw(positive) for _ in sinks]
+    total = sum(supplies)
+    demands = [-total * w / sum(weights) for w in weights]
+    return network, SupplyVector(tuple(supplies + demands))
+
+
+def scaled(network, b, rate, time):
+    """The instance with capacities times ``rate / time``, transit times
+    times ``time`` and supplies times ``rate``."""
+    arcs = tuple(Arc(a.tail, a.head, a.capacity * rate / time, a.transit * time)
+                 for a in network.arcs)
+    return (FlowNetwork(network.node_count, arcs, network.sources, network.sinks),
+            SupplyVector(tuple(x * rate for x in b.values)))
+
+
+factors = st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=instances())
+def test_integer_profiles_match_rational_reference(instance):
+    network, _ = instance
+    assert sources_reach_sinks(network)
+    cache = ProfileCache(network)
+    for bits in range(1 << network.k):
+        subset = TerminalSet(bits, network.k)
+        profile = compute_profile(network, subset)
+        assert profile == cache.profile(bits)
+        assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
+            == reference_profile(network, subset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=instances(), thetas=st.lists(transits, min_size=1, max_size=3))
+def test_envelope_matches_rational_minimum(instance, thetas):
+    network, b = instance
+    cache = ProfileCache(network)
+    # Each breakpoint, and a deadline just short of it, besides the drawn ones.
+    bends = {bend for bits in range(1 << network.k)
+             for bend in breakpoints(cache.profile(bits))}
+    thetas = set(thetas) | bends | {x - F(1, 1009) for x in bends if x > 0}
+    for theta in sorted(thetas):
+        slack = {bits: value_at(cache.profile(bits), theta)
+                 - net_supply(b, TerminalSet(bits, network.k))
+                 for bits in range(1 << network.k)}
+        lowest = min(slack.values())
+        minimal = (1 << network.k) - 1
+        for bits, value in slack.items():
+            if value == lowest:
+                minimal &= bits
+        found = minimize_slack(network, b, theta, cache=cache)
+        assert (found.value, found.subset.bits) == (lowest, minimal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=instances(), time=factors, rate=factors)
+def test_solvers_agree_and_respect_scaling(instance, time, rate):
+    network, b = instance
+    cache = ProfileCache(network)
+    star = theta_star_bruteforce(network, b, cache=cache)
+    assert solve_newton_jumps(network, b, cache=cache).theta_star == star
+    assert solve_newton_simple(network, b, cache=cache).theta_star == star
+    # A change of time unit: transit times times ``time`` and rates
+    # divided by it stretch every deadline by ``time``.
+    stretched = scaled(network, b, F(1), time)
+    assert solve_newton_jumps(*stretched).theta_star == star * time
+    # Capacities and supplies times the same factor: the same deadline.
+    heavier = scaled(network, b, rate, F(1))
+    assert solve_newton_jumps(*heavier).theta_star == star
