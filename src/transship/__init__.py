@@ -12,39 +12,36 @@ from .core import (Arc, FlowNetwork, MAX_TERMINALS, Rat, SupplyVector,
                    validate_instance)
 from .errors import (ExpansionCapExceeded, InfeasibleDeadline,
                      InfeasibleForever, InstanceFormatError, InvariantViolation,
-                     ProfileTruncated, SubsetCapExceeded, TransshipError)
+                     SubsetCapExceeded, TransshipError)
 from .expansion import (FlowOverTime, TimeExpandedNetwork, XArc,
                         build_time_expanded, extract_transshipment,
                         feasible_by_expansion, scale_to_integral,
                         value_by_expansion, verify_flow)
-from .horizon import (breakpoints, crossing_time, slack_at, slope_left,
-                      slope_right, value_at)
+from .horizon import breakpoints, crossing_time, slope_left, value_at
 from .instances import (dump_document, generate_instance, parse_instance,
                         serialize_instance, sources_reach_sinks)
 from .sfm import SlackMinimum, is_feasible, min_slack, minimize_slack
 from .solver import (IterationRecord, SolveResult, classify_iterations,
                      halving_violations, jump_set, solve_newton_jumps,
                      solve_newton_simple, theta_star_bruteforce)
-from .ssp import (ExtendedNetwork, FlowProfile, ProfileCache, Segment,
-                  build_extended, compute_profile)
+from .ssp import FlowProfile, ProfileCache, Segment, compute_profile
 
 __all__ = [
-    "Arc", "ExpansionCapExceeded", "ExtendedNetwork", "FlowNetwork",
-    "FlowOverTime", "FlowProfile", "InfeasibleDeadline", "InfeasibleForever",
+    "Arc", "ExpansionCapExceeded", "FlowNetwork", "FlowOverTime",
+    "FlowProfile", "InfeasibleDeadline", "InfeasibleForever",
     "InstanceFormatError", "InvariantViolation", "IterationRecord",
-    "MAX_TERMINALS",
-    "ProfileCache", "ProfileTruncated", "Rat", "Segment", "SlackMinimum",
+    "MAX_TERMINALS", "ProfileCache", "Rat", "Segment", "SlackMinimum",
     "SolveResult", "SubsetCapExceeded", "SupplyVector", "TerminalSet",
     "TimeExpandedNetwork", "TransshipError", "XArc", "breakpoints",
-    "build_extended", "build_time_expanded", "classify_iterations",
-    "compute_profile", "crossing_time", "dump_document",
-    "extract_transshipment", "feasible_by_expansion", "format_rational",
-    "generate_instance", "halving_violations", "is_feasible", "jump_set",
-    "min_slack", "minimize_slack", "net_supply", "parse_instance",
-    "parse_rational", "scale_to_integral", "serialize_instance",
-    "slack_at", "slope_left", "slope_right", "solve_newton_jumps",
-    "solve_newton_simple", "sources_reach_sinks", "theta_star_bruteforce",
-    "validate_instance", "value_at", "value_by_expansion", "verify_flow",
+    "build_time_expanded", "classify_iterations", "compute_profile",
+    "crossing_time", "dump_document", "extract_transshipment",
+    "feasible_by_expansion", "format_rational", "generate_instance",
+    "halving_violations", "is_feasible", "jump_set", "min_slack",
+    "minimize_slack", "net_supply", "parse_instance", "parse_rational",
+    "scale_to_integral", "serialize_instance", "slope_left",
+    "solve_newton_jumps", "solve_newton_simple", "sources_reach_sinks",
+    "theta_star_bruteforce", "validate_instance", "value_at",
+    "value_by_expansion", "verify_flow",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .core import FlowNetwork, format_rational, SupplyVector
 from .errors import InvariantViolation
-from .horizon import breakpoints
+from .horizon import all_breakpoints
 from .instances import generate_instance, parse_instance, sources_reach_sinks
 from .sfm import min_slack
 from .solver import (classify_iterations, solve_newton_jumps,
@@ -115,9 +115,7 @@ def run_bench(seeds) -> tuple[list[BenchRow], list[tuple[int, Fraction, Fraction
             count_I1=labels.count("I1"), count_I2=labels.count("I2"),
             count_I3=labels.count("I3"),
             wall_simple=wall_simple, wall_jumps=wall_jumps))
-        probes = set()
-        for bits in range(1 << network.k):
-            probes.update(breakpoints(cache.profile(bits)))
+        probes = all_breakpoints(cache)
         for record in jumps.trace:
             probes.update((record.theta, record.theta_prime, record.theta_next))
         for theta in sorted(probes):

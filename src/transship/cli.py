@@ -17,6 +17,7 @@ JSON object per failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -195,6 +196,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transship",

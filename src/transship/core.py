@@ -124,12 +124,6 @@ class FlowNetwork:
         """
         return sum((a.capacity for a in self.arcs), Fraction(0))
 
-    def is_source(self, v: int) -> bool:
-        return v in self.sources
-
-    def is_sink(self, v: int) -> bool:
-        return v in self.sinks
-
 
 @dataclass(frozen=True)
 class TerminalSet:
@@ -147,14 +141,6 @@ class TerminalSet:
             raise ValueError("terminal set width %d out of range" % self.width)
         if not 0 <= self.bits < (1 << self.width):
             raise ValueError("bit set %#x does not fit %d terminals" % (self.bits, self.width))
-
-    @classmethod
-    def empty(cls, width: int) -> "TerminalSet":
-        return cls(0, width)
-
-    @classmethod
-    def full(cls, width: int) -> "TerminalSet":
-        return cls((1 << width) - 1, width)
 
     @classmethod
     def of_nodes(cls, network: FlowNetwork, nodes: Iterable[int]) -> "TerminalSet":
@@ -187,18 +173,6 @@ class TerminalSet:
 
     def __len__(self) -> int:
         return bin(self.bits).count("1")
-
-    def __or__(self, other: "TerminalSet") -> "TerminalSet":
-        self._check_width(other)
-        return TerminalSet(self.bits | other.bits, self.width)
-
-    def __and__(self, other: "TerminalSet") -> "TerminalSet":
-        self._check_width(other)
-        return TerminalSet(self.bits & other.bits, self.width)
-
-    def _check_width(self, other: "TerminalSet"):
-        if self.width != other.width:
-            raise ValueError("terminal sets of different widths")
 
     def label(self, network: FlowNetwork) -> str:
         """Human-readable form, e.g. ``{0,3}`` (node ids)."""

@@ -45,10 +45,6 @@ class InfeasibleDeadline(TransshipError):
         super().__init__("no feasible transshipment by deadline %s%s" % (theta, detail))
 
 
-class ProfileTruncated(TransshipError):
-    """A profile was cut off before exhaustion and cannot certify the query."""
-
-
 class InvariantViolation(TransshipError):
     """An internal consistency check failed.
 
@@ -67,7 +63,7 @@ class SubsetCapExceeded(TransshipError):
         self.cap = cap
         super().__init__(
             "instance has %d terminals; brute-force subset enumeration is capped "
-            "at %d (raise the cap or plug in a polynomial minimizer)" % (k, cap)
+            "at %d (raise the cap, --bf-cap on the command line)" % (k, cap)
         )
 
 

@@ -92,9 +92,6 @@ class TimeExpandedNetwork:
     super_source: int
     super_sink: int
 
-    def movement_arcs(self) -> list[XArc]:
-        return [a for a in self.arcs if a.kind == "move"]
-
 
 def _check_expandable(network: FlowNetwork, steps: int, node_cap: int):
     for i, a in enumerate(network.arcs):

@@ -2,10 +2,10 @@
 
 A profile fixes a piecewise-linear convex function of the deadline: the
 maximum amount a terminal subset can push out by that deadline.  This module
-evaluates the function, its one-sided slopes, and the earliest deadline at
+evaluates the function, its left-hand slope, and the earliest deadline at
 which the subset's net supply is covered.  Slopes change exactly at the
-segment lengths, so the left and right variants differ only there; both are
-needed because the solver probes deadlines that land on breakpoints.
+segment lengths; the solver needs the left-hand one because it extrapolates
+from a crossing point, which may land on a breakpoint.
 """
 
 from __future__ import annotations
@@ -13,29 +13,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Rat
-from .errors import InfeasibleForever, ProfileTruncated
-from .ssp import FlowProfile
+from .errors import InfeasibleForever
+from .ssp import FlowProfile, ProfileCache
 
 __all__ = [
     "value_at",
-    "slack_at",
     "slope_left",
-    "slope_right",
     "crossing_time",
     "breakpoints",
+    "all_breakpoints",
 ]
-
-
-def _require_certified(profile: FlowProfile, theta: Rat):
-    if not profile.certifies(theta):
-        raise ProfileTruncated("profile cannot certify values at deadline %s" % theta)
 
 
 def value_at(profile: FlowProfile, theta: Rat) -> Rat:
     """Maximum amount deliverable by ``theta``: sum of amount * (theta - length)."""
     if theta < 0:
         raise ValueError("deadline must be nonnegative, got %s" % theta)
-    _require_certified(profile, theta)
     total = Fraction(0)
     for seg in profile.segments:
         if seg.length > theta:
@@ -44,32 +37,13 @@ def value_at(profile: FlowProfile, theta: Rat) -> Rat:
     return total
 
 
-def slack_at(profile: FlowProfile, need: Rat, theta: Rat) -> Rat:
-    """Deliverable amount minus required amount; nonnegative means satisfied."""
-    return value_at(profile, theta) - need
-
-
 def slope_left(profile: FlowProfile, theta: Rat) -> Rat:
     """Left-hand derivative of the value function at ``theta`` (> 0 only)."""
     if theta <= 0:
         raise ValueError("left slope needs a positive deadline, got %s" % theta)
-    _require_certified(profile, theta)
     total = Fraction(0)
     for seg in profile.segments:
         if seg.length >= theta:
-            break
-        total += seg.amount
-    return total
-
-
-def slope_right(profile: FlowProfile, theta: Rat) -> Rat:
-    """Right-hand derivative of the value function at ``theta``."""
-    if theta < 0:
-        raise ValueError("deadline must be nonnegative, got %s" % theta)
-    _require_certified(profile, theta)
-    total = Fraction(0)
-    for seg in profile.segments:
-        if seg.length > theta:
             break
         total += seg.amount
     return total
@@ -84,8 +58,6 @@ def crossing_time(profile: FlowProfile, need: Rat, nodes=()) -> Rat:
     """
     if need <= 0:
         return Fraction(0)
-    if not profile.exhausted:
-        raise ProfileTruncated("profile truncated; crossing time may lie beyond it")
     value = Fraction(0)
     slope = Fraction(0)
     position = None
@@ -109,3 +81,11 @@ def breakpoints(profile: FlowProfile) -> tuple[Rat, ...]:
         if not out or seg.length != out[-1]:
             out.append(seg.length)
     return tuple(out)
+
+
+def all_breakpoints(cache: ProfileCache) -> set[Rat]:
+    """Breakpoints of every terminal subset's value function, pooled."""
+    bends = set()
+    for bits in range(1 << cache.network.k):
+        bends.update(breakpoints(cache.profile(bits)))
+    return bends

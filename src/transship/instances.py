@@ -11,9 +11,10 @@ The on-disk format is a single JSON object:
 
 Rationals are written as bare integers when integral and as "p/q" strings
 otherwise; demands are the nonpositive supply values of the sinks.  Parsing
-reports the path of the offending field so malformed documents are easy to
-fix.  Serialization is canonical (sorted keys, fixed separators), so equal
-instances produce byte-identical documents.
+rejects missing and unknown fields, naming the offending field's path, so
+malformed documents are easy to fix.  Serialization is canonical (sorted
+keys, fixed separators), so equal instances produce byte-identical
+documents.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ def _field(doc: dict, key: str, where: str):
         raise InstanceFormatError("missing field %s.%s" % (where, key) if where
                                   else "missing field %s" % key)
     return doc[key]
+
+
+def _known_fields(doc: dict, known, prefix: str):
+    for key in doc:
+        if key not in known:
+            raise InstanceFormatError("unknown field %s%s" % (prefix, key))
 
 
 def _as_int(value, where: str) -> int:
@@ -76,6 +83,7 @@ def parse_instance(doc) -> tuple[FlowNetwork, SupplyVector]:
             raise InstanceFormatError("not valid JSON: %s" % exc) from None
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
+    _known_fields(doc, ("nodes", "arcs", "sources", "sinks"), "")
     n = _as_int(_field(doc, "nodes", ""), "nodes")
     arcs = []
     raw_arcs = _field(doc, "arcs", "")
@@ -85,6 +93,7 @@ def parse_instance(doc) -> tuple[FlowNetwork, SupplyVector]:
         where = "arcs[%d]" % i
         if not isinstance(raw, dict):
             raise InstanceFormatError("%s must be an object" % where)
+        _known_fields(raw, ("tail", "head", "capacity", "transit"), where + ".")
         arcs.append(Arc(
             tail=_as_int(_field(raw, "tail", where), where + ".tail"),
             head=_as_int(_field(raw, "head", where), where + ".head"),
@@ -102,6 +111,7 @@ def parse_instance(doc) -> tuple[FlowNetwork, SupplyVector]:
             where = "%s[%d]" % (key, i)
             if not isinstance(raw, dict):
                 raise InstanceFormatError("%s must be an object" % where)
+            _known_fields(raw, ("node", value_key), where + ".")
             node = _as_int(_field(raw, "node", where), where + ".node")
             if node in by_node:
                 raise InstanceFormatError("%s.node: node %d listed twice" % (where, node))

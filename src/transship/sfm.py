@@ -8,10 +8,9 @@ submodular function of the subset, so its minimizers are closed under union
 and intersection; we always report the unique minimal minimizer (the
 intersection of all of them) to keep results canonical.
 
-The default minimizer enumerates all subsets, which is exact and fine for
-the terminal counts this package targets; a cap guards against accidental
-blowups.  Callers can plug in a polynomial-time submodular minimizer via the
-``strategy`` argument without touching the rest of the solver.
+The minimizer enumerates all subsets, which is exact and fine for the
+terminal counts this package targets; a cap guards against accidental
+blowups.
 """
 
 from __future__ import annotations
@@ -42,27 +41,19 @@ class SlackMinimum:
 
     subset: TerminalSet
     value: Rat
-    strategy: str
 
 
 def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
                    cache: ProfileCache | None = None,
-                   subset_cap: int = DEFAULT_SUBSET_CAP,
-                   strategy=None) -> SlackMinimum:
+                   subset_cap: int = DEFAULT_SUBSET_CAP) -> SlackMinimum:
     """Find the minimal subset attaining the minimum slack at ``theta``.
 
     Slacks are compared as integers over one shared denominator: with
     ``theta = p/q``, a subset's value is read off its profile's prefix sums
     on the cache's grid, up to the last segment no longer than ``theta``.
     Only the minimum becomes a rational again.
-
-    ``strategy``, when given, replaces the brute-force enumeration entirely;
-    it is called as ``strategy(network, b, theta, cache)`` and must return a
-    SlackMinimum with the same minimal-minimizer convention.
     """
     k = network.k
-    if strategy is not None:
-        return strategy(network, b, theta, cache)
     if k > subset_cap:
         raise SubsetCapExceeded(k, subset_cap)
     if cache is None:
@@ -93,7 +84,7 @@ def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     if value_at(cache.profile(best_and), theta) - net_supply(b, subset) != value:
         raise InvariantViolation("subset %s does not attain the minimum slack %s "
                                  "at %s" % (subset.label(network), value, theta))
-    return SlackMinimum(subset, value, "brute-force")
+    return SlackMinimum(subset, value)
 
 
 def min_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, **kwargs) -> Rat:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .core import FlowNetwork, Rat, SupplyVector, TerminalSet, net_supply
 from .errors import InvariantViolation, SubsetCapExceeded
-from .horizon import breakpoints, crossing_time, slope_left, value_at
+from .horizon import all_breakpoints, crossing_time, slope_left
 from .sfm import DEFAULT_SUBSET_CAP, minimize_slack
 from .ssp import ProfileCache
 
@@ -79,8 +79,7 @@ class SolveResult:
 
 
 def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
-           cache: ProfileCache | None, subset_cap: int, strategy,
-           probe_scan: str) -> SolveResult:
+           cache: ProfileCache | None, subset_cap: int) -> SolveResult:
     if cache is None:
         cache = ProfileCache(network)
     k = network.k
@@ -88,7 +87,7 @@ def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
 
     def envelope(theta):
         return minimize_slack(network, b, theta, cache=cache,
-                              subset_cap=subset_cap, strategy=strategy)
+                              subset_cap=subset_cap)
 
     theta = Fraction(0)
     trace = []
@@ -119,7 +118,7 @@ def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
                 step = -slack_prime / slope
                 jump = _largest_negative_probe(
                     lambda j: envelope(prime + j * step).value < 0,
-                    multipliers, probe_scan)
+                    multipliers)
                 if jump:
                     theta_next = prime + jump * step
         trace.append(IterationRecord(len(trace), theta, subset, minimum.value,
@@ -129,23 +128,12 @@ def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
                        algorithm="jumps" if jumps else "simple", k=k)
 
 
-def _largest_negative_probe(still_violated, multipliers, probe_scan: str) -> int:
+def _largest_negative_probe(still_violated, multipliers) -> int:
     """Largest multiplier whose probe leaves the envelope negative, else 0.
 
     The envelope is nondecreasing, so the predicate is true on a prefix of
-    the multiplier list; binary search is the default, the linear scan is
-    kept for differential testing.
+    the multiplier list, which binary search finds.
     """
-    if probe_scan == "linear":
-        best = 0
-        for j in multipliers:
-            if still_violated(j):
-                best = j
-            else:
-                break
-        return best
-    if probe_scan != "binary":
-        raise ValueError("unknown probe scan mode %r" % probe_scan)
     lo, hi = 0, len(multipliers) - 1
     best = 0
     while lo <= hi:
@@ -160,20 +148,16 @@ def _largest_negative_probe(still_violated, multipliers, probe_scan: str) -> int
 
 def solve_newton_simple(network: FlowNetwork, b: SupplyVector, *,
                         cache: ProfileCache | None = None,
-                        subset_cap: int = DEFAULT_SUBSET_CAP,
-                        strategy=None) -> SolveResult:
+                        subset_cap: int = DEFAULT_SUBSET_CAP) -> SolveResult:
     """Plain discrete Newton: always advance to the chosen subset's crossing."""
-    return _solve(network, b, jumps=False, cache=cache, subset_cap=subset_cap,
-                  strategy=strategy, probe_scan="binary")
+    return _solve(network, b, jumps=False, cache=cache, subset_cap=subset_cap)
 
 
 def solve_newton_jumps(network: FlowNetwork, b: SupplyVector, *,
                        cache: ProfileCache | None = None,
-                       subset_cap: int = DEFAULT_SUBSET_CAP,
-                       strategy=None, probe_scan: str = "binary") -> SolveResult:
+                       subset_cap: int = DEFAULT_SUBSET_CAP) -> SolveResult:
     """Accelerated discrete Newton with geometric jump probes."""
-    return _solve(network, b, jumps=True, cache=cache, subset_cap=subset_cap,
-                  strategy=strategy, probe_scan=probe_scan)
+    return _solve(network, b, jumps=True, cache=cache, subset_cap=subset_cap)
 
 
 def theta_star_bruteforce(network: FlowNetwork, b: SupplyVector, *,
@@ -213,10 +197,7 @@ def classify_iterations(result: SolveResult, network: FlowNetwork, *,
         raise SubsetCapExceeded(network.k, subset_cap)
     if cache is None:
         cache = ProfileCache(network)
-    bends = set()
-    for bits in range(1 << network.k):
-        bends.update(breakpoints(cache.profile(bits)))
-    bends = sorted(bends)
+    bends = sorted(all_breakpoints(cache))
     top = 0
     if result.algorithm == "jumps" and result.k >= 2:
         top = jump_set(result.k)[-1]

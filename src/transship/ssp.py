@@ -33,39 +33,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Arc, FlowNetwork, Rat, SupplyVector, TerminalSet
-from .errors import InvariantViolation, ProfileTruncated
+from .core import FlowNetwork, Rat, SupplyVector, TerminalSet
+from .errors import InvariantViolation
 
 __all__ = [
-    "ExtendedNetwork",
-    "build_extended",
     "Segment",
     "FlowProfile",
     "compute_profile",
     "ProfileCache",
 ]
-
-
-@dataclass(frozen=True)
-class ExtendedNetwork:
-    """Base network plus super terminals for one subset query.
-
-    Auxiliary arcs get transit 0 and capacity ``base.capacity_bound``, which
-    is as good as infinite: any super-source/super-sink flow has to cross at
-    least one original arc.
-    """
-
-    base: FlowNetwork
-    subset: TerminalSet
-    node_count: int
-    arcs: tuple[Arc, ...]
-    original_count: int
-    super_source: int
-    super_sink: int
-
-    @property
-    def aux_arcs(self) -> tuple[Arc, ...]:
-        return self.arcs[self.original_count:]
 
 
 def _hookups(network: FlowNetwork, subset: TerminalSet) -> list[tuple[int, int]]:
@@ -81,22 +57,6 @@ def _hookups(network: FlowNetwork, subset: TerminalSet) -> list[tuple[int, int]]
                if n_src + j not in subset])
 
 
-def build_extended(network: FlowNetwork, subset: TerminalSet) -> ExtendedNetwork:
-    """Wire a super source to S's sources and S's outside sinks to a super sink."""
-    n = network.node_count
-    big = network.capacity_bound
-    aux = tuple(Arc(u, v, big, Fraction(0)) for u, v in _hookups(network, subset))
-    return ExtendedNetwork(
-        base=network,
-        subset=subset,
-        node_count=n + 2,
-        arcs=network.arcs + aux,
-        original_count=len(network.arcs),
-        super_source=n,
-        super_sink=n + 1,
-    )
-
-
 @dataclass(frozen=True)
 class Segment:
     """One augmentation: a path length, its flow amount, and its certificate."""
@@ -108,11 +68,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class FlowProfile:
-    """Ordered augmentation segments for one terminal subset.
-
-    ``exhausted`` records whether the search ran until no augmenting path
-    remained; only then does the segment list describe the value function
-    for every deadline.
+    """Ordered augmentation segments for one terminal subset, found by
+    searching until no augmenting path remains.
 
     ``compute_profile`` also records the segments on the instance's
     ``IntegerGrid``, for the envelope: ``lengths`` in units of
@@ -122,22 +79,9 @@ class FlowProfile:
     """
 
     segments: tuple[Segment, ...]
-    exhausted: bool
     lengths: tuple[int, ...] = ()
     amount_sums: tuple[int, ...] = ()
     moment_sums: tuple[int, ...] = ()
-
-    def max_static_value(self) -> Rat:
-        """Largest sustainable flow rate (the static max-flow value)."""
-        if not self.exhausted:
-            raise ProfileTruncated("profile was truncated; static maximum unknown")
-        return sum((seg.amount for seg in self.segments), Fraction(0))
-
-    def certifies(self, theta: Rat) -> bool:
-        """True when the profile pins down the value function at ``theta``."""
-        if self.exhausted:
-            return True
-        return bool(self.segments) and theta < self.segments[-1].length
 
 
 class IntegerGrid:
@@ -280,8 +224,8 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet,
         lengths.append(length)
         amount_sums.append(amount_sums[-1] + amount)
         moment_sums.append(moment_sums[-1] + amount * length)
-    return FlowProfile(segments=tuple(segments), exhausted=True,
-                       lengths=tuple(lengths), amount_sums=tuple(amount_sums),
+    return FlowProfile(segments=tuple(segments), lengths=tuple(lengths),
+                       amount_sums=tuple(amount_sums),
                        moment_sums=tuple(moment_sums))
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from transship.cli import main
+from transship.cli import build_parser, main
 from transship.instances import dump_document
 from conftest import instance_b_network, instance_b_supply
 from transship import serialize_instance
@@ -234,6 +234,46 @@ class TestInputChecks:
         assert code == 2
         doc = json.loads(err)
         assert doc["error"] == "input" and "'sinks'" in doc["message"]
+
+    def test_unknown_field(self, capsys, tmp_path):
+        net = instance_b_network()
+        doc = serialize_instance(net, instance_b_supply(net))
+        doc["arcs"][1]["capcity"] = 1
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "input" and "arcs[1].capcity" in doc["message"]
+
+
+def test_repeated_calls_match_fresh_processes(capsys, instance_file):
+    # The parser is built once per process; no call may leave a default or
+    # a parsed value behind for the next one.
+    assert build_parser() is build_parser()
+    calls = [["solve", "--input", instance_file, "--algo", "both", "--json"],
+             ["solve", "--input", instance_file, "--json"],
+             ["solve", "--input", instance_file, "--algo", "fast"],
+             ["solve", "--input", instance_file, "--json"],
+             ["solve", "--input", instance_file]]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from transship.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env, timeout=60)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) \
+            == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    # the bad flag leaves through argparse's SystemExit with code 2
+    assert codes == [0, 0, 2, 0, 0]
 
 
 # Runs the CLI under ``python -O`` with one stub that breaks an invariant;

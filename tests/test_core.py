@@ -48,20 +48,14 @@ class TestTerminalSet:
         assert 0 in s and 1 not in s and 2 in s
         assert len(s) == 2
 
-    def test_lattice_ops(self):
-        a = TerminalSet(0b011, 3)
-        b = TerminalSet(0b110, 3)
-        assert (a | b).bits == 0b111
-        assert (a & b).bits == 0b010
-
     def test_full_and_empty(self):
-        assert TerminalSet.full(3).bits == 0b111
-        assert len(TerminalSet.empty(3)) == 0
+        assert list(TerminalSet(0b111, 3).members()) == [0, 1, 2]
+        assert len(TerminalSet(0, 3)) == 0
 
     def test_label(self):
         net = instance_b_network()
         assert TerminalSet.of_nodes(net, [0, 1]).label(net) == "{0,1}"
-        assert TerminalSet.empty(net.k).label(net) == "{}"
+        assert TerminalSet(0, net.k).label(net) == "{}"
 
     def test_rejects_non_terminal_node(self):
         net = instance_b_network()
@@ -81,8 +75,8 @@ class TestSupplyVector:
         b = SupplyVector.for_network(net, {0: F(5), 1: F(1), 2: F(-6)})
         assert net_supply(b, TerminalSet.of_nodes(net, [0, 1])) == F(6)
         assert net_supply(b, TerminalSet.of_nodes(net, [0, 2])) == F(-1)
-        assert net_supply(b, TerminalSet.full(net.k)) == 0
-        assert net_supply(b, TerminalSet.empty(net.k)) == 0
+        assert net_supply(b, TerminalSet((1 << net.k) - 1, net.k)) == 0
+        assert net_supply(b, TerminalSet(0, net.k)) == 0
 
 
 class TestNetworkValidation:

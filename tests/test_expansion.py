@@ -58,26 +58,31 @@ class TestScaling:
             assert after.capacity * q == before.capacity
 
 
+def moves(xnet):
+    """Copies of original arcs in a time expansion."""
+    return [a for a in xnet.arcs if a.kind == "move"]
+
+
 class TestLayering:
     def test_movement_copy_count(self):
         # transit 2 inside 5 unit steps: departures at 0, 1 and 2 only
         net = single_arc_network()
         b = single_arc_supply(net)
         expanded = build_time_expanded(net, b, 5)
-        assert len(expanded.movement_arcs()) == 3
+        assert len(moves(expanded)) == 3
 
     def test_zero_transit_gets_one_copy_per_step(self):
         net = FlowNetwork(node_count=2, arcs=(Arc(0, 1, F(1), F(0)),),
                           sources=(0,), sinks=(1,))
         b = SupplyVector.for_network(net, {0: F(2), 1: F(-2)})
         expanded = build_time_expanded(net, b, 4)
-        assert len(expanded.movement_arcs()) == 4
+        assert len(moves(expanded)) == 4
 
     def test_too_long_transit_gets_none(self):
         net = single_arc_network()
         b = single_arc_supply(net)
         expanded = build_time_expanded(net, b, 2)
-        assert expanded.movement_arcs() == []
+        assert moves(expanded) == []
 
     def test_holdover_and_wiring_caps(self):
         net = single_arc_network()

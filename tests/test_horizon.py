@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transship import (InfeasibleForever, ProfileTruncated, TerminalSet,
-                       breakpoints, compute_profile, crossing_time, slack_at,
-                       slope_left, slope_right, value_at)
+from transship import (InfeasibleForever, TerminalSet, breakpoints,
+                       compute_profile, crossing_time, slope_left, value_at)
 from transship.ssp import FlowProfile, Segment
 from conftest import instance_b_network, single_arc_network
 
@@ -43,18 +42,6 @@ class TestValue:
         with pytest.raises(ValueError):
             value_at(arc_profile, F(-1))
 
-    def test_truncated_profile_rejected(self):
-        prof = FlowProfile(segments=(Segment(F(1), F(1), (1,)),),
-                           exhausted=False)
-        with pytest.raises(ProfileTruncated):
-            value_at(prof, F(5))
-        # below the last certified length the value is still exact
-        assert value_at(prof, F(1, 2)) == 0
-
-    def test_slack(self, b_profile):
-        assert slack_at(b_profile, F(6), F(2)) == -1
-        assert slack_at(b_profile, F(6), F(7, 3)) == 0
-
     @given(theta=small_rationals, bump=small_rationals)
     def test_nondecreasing(self, b_profile, theta, bump):
         assert value_at(b_profile, theta + bump) >= value_at(b_profile, theta)
@@ -69,9 +56,10 @@ class TestValue:
 
 class TestSlopes:
     def test_left_and_right_at_breakpoint(self, b_profile):
-        assert slope_right(b_profile, F(0)) == 2
+        # the value function bends at 0 and 1: slope 2 between them, 3 after
+        assert slope_left(b_profile, F(1, 100)) == 2
         assert slope_left(b_profile, F(1)) == 2
-        assert slope_right(b_profile, F(1)) == 3
+        assert slope_left(b_profile, F(101, 100)) == 3
         assert slope_left(b_profile, F(2)) == 3
 
     def test_left_slope_rejects_zero(self, b_profile):
@@ -79,9 +67,14 @@ class TestSlopes:
             slope_left(b_profile, F(0))
 
     @given(theta=st.fractions(min_value="1/10", max_value=20,
-                              max_denominator=12))
-    def test_left_at_most_right(self, b_profile, theta):
-        assert slope_left(b_profile, theta) <= slope_right(b_profile, theta)
+                              max_denominator=12),
+           bump=st.fractions(min_value="1/12", max_value=5,
+                             max_denominator=12))
+    def test_left_at_most_right(self, b_profile, theta, bump):
+        # convexity: the left slope is at most any right difference quotient
+        right = (value_at(b_profile, theta + bump)
+                 - value_at(b_profile, theta)) / bump
+        assert slope_left(b_profile, theta) <= right
 
 
 class TestCrossing:
@@ -131,6 +124,5 @@ class TestBreakpoints:
     def test_deduplicated_and_sorted(self):
         prof = FlowProfile(segments=(Segment(F(1), F(1), (1,)),
                                      Segment(F(1), F(2), (1,)),
-                                     Segment(F(3), F(1), (1,))),
-                           exhausted=True)
+                                     Segment(F(3), F(1), (1,))))
         assert breakpoints(prof) == (F(1), F(3))

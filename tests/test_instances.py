@@ -77,6 +77,20 @@ class TestParsing:
             parse_instance(text)
         assert "'sinks'" in str(err.value)
 
+    def test_unknown_field_path(self):
+        edits = {
+            "nodez": lambda doc: doc.update(nodez=3),
+            "arcs[1].capcity": lambda doc: doc["arcs"][1].update(capcity=1),
+            "sources[0].demand": lambda doc: doc["sources"][0].update(demand=0),
+            "sinks[0].supply": lambda doc: doc["sinks"][0].update(supply=0),
+        }
+        for path, edit in edits.items():
+            doc = minimal_doc()
+            edit(doc)
+            with pytest.raises(InstanceFormatError) as err:
+                parse_instance(doc)
+            assert str(err.value) == "unknown field " + path
+
     def test_non_dict_rejected(self):
         with pytest.raises(InstanceFormatError):
             parse_instance([1, 2, 3])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transship import (Arc, FlowNetwork, ProfileCache, SupplyVector,
-                       TerminalSet, breakpoints, build_extended, compute_profile,
+                       TerminalSet, breakpoints, compute_profile,
                        minimize_slack, net_supply, solve_newton_jumps,
                        solve_newton_simple, sources_reach_sinks,
                        theta_star_bruteforce, value_at)
@@ -23,24 +23,33 @@ from transship import (Arc, FlowNetwork, ProfileCache, SupplyVector,
 # ---------------------------------------------------------------------------
 # Reference: successive shortest paths on Fractions, as the package ran them
 # before profiles moved to integers.  Same residual layout and tie-breaking.
+# The super terminals are wired here from the subset's node ids, not by the
+# kernel, so the comparison also checks the kernel's wiring.
 
 
 def reference_profile(network, subset):
     """(length, amount, certificate) per segment, in rational arithmetic."""
-    ext = build_extended(network, subset)
-    adj = [[] for _ in range(ext.node_count)]
-    for idx, a in enumerate(ext.arcs):
-        orig = idx if idx < ext.original_count else None
+    n, m = network.node_count, len(network.arcs)
+    s, t = n, n + 1
+    # Any flow from s to t crosses an original arc, so the sum of all
+    # capacities never binds on an auxiliary arc.
+    big = sum(a.capacity for a in network.arcs)
+    inside = set(subset.nodes(network))
+    arcs = (network.arcs
+            + tuple(Arc(s, v, big, F(0)) for v in network.sources if v in inside)
+            + tuple(Arc(v, t, big, F(0)) for v in network.sinks if v not in inside))
+    adj = [[] for _ in range(n + 2)]
+    for idx, a in enumerate(arcs):
+        orig = idx if idx < m else None
         fwd = [a.head, a.capacity, a.transit, len(adj[a.head]), orig, 1]
         bwd = [a.tail, F(0), -a.transit, len(adj[a.tail]), orig, -1]
         adj[a.tail].append(fwd)
         adj[a.head].append(bwd)
-    pot = [F(0)] * ext.node_count
-    s, t = ext.super_source, ext.super_sink
+    pot = [F(0)] * (n + 2)
     segments = []
     while True:
-        dist = [None] * ext.node_count
-        parent = [None] * ext.node_count
+        dist = [None] * (n + 2)
+        parent = [None] * (n + 2)
         dist[s] = F(0)
         heap = [(F(0), s)]
         while heap:
@@ -59,7 +68,7 @@ def reference_profile(network, subset):
         if dist[t] is None:
             return segments
         reach = dist[t]
-        for v in range(ext.node_count):
+        for v in range(n + 2):
             pot[v] += reach if dist[v] is None or dist[v] > reach else dist[v]
         path = []
         v = t
@@ -74,7 +83,7 @@ def reference_profile(network, subset):
             adj[entry[0]][entry[3]][1] += amount
             if entry[4] is not None:
                 uses[entry[4]] = entry[5]
-        certificate = tuple(uses.get(i, 0) for i in range(ext.original_count))
+        certificate = tuple(uses.get(i, 0) for i in range(m))
         segments.append((pot[t] - pot[s], amount, certificate))
 
 

@@ -7,6 +7,7 @@ from transship import (InfeasibleForever, SubsetCapExceeded, SupplyVector,
                        TerminalSet, classify_iterations, halving_violations,
                        jump_set, solve_newton_jumps, solve_newton_simple,
                        theta_star_bruteforce)
+from transship import solver
 from conftest import (instance_b_network, instance_b_supply,
                       single_arc_network, single_arc_supply)
 
@@ -208,16 +209,40 @@ class TestHalving:
         assert halving_violations(bad) == []
 
 
+def linear_probe(still_violated, multipliers) -> int:
+    """Reference scan: walk the multipliers up while the probe stays negative."""
+    best = 0
+    for j in multipliers:
+        if not still_violated(j):
+            break
+        best = j
+    return best
+
+
 class TestProbeSearch:
-    def test_binary_and_linear_agree(self, corpus):
+    def test_binary_and_linear_agree(self):
+        # the envelope is nondecreasing, so the violated multipliers are a
+        # prefix of the list; try every prefix length
+        for k in range(2, 12):
+            multipliers = jump_set(k)
+            for size in range(len(multipliers) + 1):
+                violated = set(multipliers[:size])
+                found = solver._largest_negative_probe(violated.__contains__,
+                                                       multipliers)
+                assert found == linear_probe(violated.__contains__, multipliers) \
+                    == (multipliers[size - 1] if size else 0)
+
+    def test_linear_scan_gives_same_traces(self, corpus, monkeypatch):
+        monkeypatch.setattr(solver, "_largest_negative_probe", linear_probe)
         for entry in corpus[:60]:
             linear = solve_newton_jumps(entry.network, entry.b,
-                                        cache=entry.cache,
-                                        probe_scan="linear")
+                                        cache=entry.cache)
             assert linear.theta_star == entry.jumps.theta_star
             assert linear.trace == entry.jumps.trace
 
     def test_unknown_scan_rejected(self, instance_b):
+        # binary search is the only scan; the solvers take no scan option
         net, b = instance_b
-        with pytest.raises(ValueError):
-            solve_newton_jumps(net, b, probe_scan="bogus")
+        for solve in (solve_newton_jumps, solve_newton_simple):
+            with pytest.raises(TypeError):
+                solve(net, b, probe_scan="linear")

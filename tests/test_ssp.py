@@ -1,43 +1,38 @@
 from fractions import Fraction as F
 
-import pytest
-
-from transship import (ProfileCache, ProfileTruncated, TerminalSet,
-                       build_extended, compute_profile)
+from transship import ProfileCache, TerminalSet, compute_profile
+from transship.ssp import IntegerGrid, _hookups
 from conftest import instance_b_network, single_arc_network
 
 
 class TestExtendedNetwork:
+    """The network a profile search runs on: the original arcs on the
+    integer grid, plus auxiliary arcs from super source ``n`` to the
+    subset's sources and from the sinks outside it to super sink ``n + 1``."""
+
     def test_single_arc_source_set(self):
         net = single_arc_network()
-        ext = build_extended(net, TerminalSet.of_nodes(net, [0]))
         # super source feeds the one source, the one sink drains to super sink
-        assert ext.node_count == net.node_count + 2
-        assert len(ext.arcs) == len(net.arcs) + 2
-        aux = ext.aux_arcs
-        assert len(aux) == 2
-        assert all(a.transit == 0 for a in aux)
-        assert all(a.capacity == net.capacity_bound for a in aux)
-        assert {(a.tail, a.head) for a in aux} == {
-            (ext.super_source, 0), (1, ext.super_sink)}
+        assert _hookups(net, TerminalSet.of_nodes(net, [0])) == [(2, 0), (1, 3)]
+        assert IntegerGrid(net).bound == net.capacity_bound == 1
 
     def test_instance_b_both_sources(self):
         net = instance_b_network()
-        ext = build_extended(net, TerminalSet.of_nodes(net, [0, 1]))
         # two source hookups plus one sink drain
-        assert len(ext.aux_arcs) == 3
+        assert _hookups(net, TerminalSet.of_nodes(net, [0, 1])) == [
+            (3, 0), (3, 1), (2, 4)]
 
     def test_subset_without_sources_gets_no_source_hookup(self):
         net = instance_b_network()
-        ext = build_extended(net, TerminalSet.of_nodes(net, [2]))
         # sink 2 is inside S, so nothing drains and nothing feeds
-        assert len(ext.aux_arcs) == 0
+        assert _hookups(net, TerminalSet.of_nodes(net, [2])) == []
 
     def test_original_arcs_preserved(self):
         net = instance_b_network()
-        ext = build_extended(net, TerminalSet.of_nodes(net, [0]))
-        assert ext.arcs[:len(net.arcs)] == net.arcs
-        assert ext.original_count == len(net.arcs)
+        grid = IntegerGrid(net)
+        assert [(u, v, F(c, grid.rate_scale), F(t, grid.time_scale))
+                for u, v, c, t in grid.arcs] \
+            == [(a.tail, a.head, a.capacity, a.transit) for a in net.arcs]
 
 
 class TestProfiles:
@@ -45,15 +40,12 @@ class TestProfiles:
         net = single_arc_network()
         prof = compute_profile(net, TerminalSet.of_nodes(net, [0]))
         assert [(s.length, s.amount) for s in prof.segments] == [(F(2), F(1))]
-        assert prof.exhausted
-        assert prof.max_static_value() == F(1)
 
     def test_instance_b_both_sources_profile(self):
         net = instance_b_network()
         prof = compute_profile(net, TerminalSet.of_nodes(net, [0, 1]))
         assert [(s.length, s.amount) for s in prof.segments] == [
             (F(0), F(2)), (F(1), F(1))]
-        assert prof.max_static_value() == F(3)
 
     def test_instance_b_single_source_profiles(self):
         net = instance_b_network()
@@ -64,10 +56,8 @@ class TestProfiles:
 
     def test_full_set_profile_is_empty(self):
         net = instance_b_network()
-        prof = compute_profile(net, TerminalSet.full(net.k))
+        prof = compute_profile(net, TerminalSet((1 << net.k) - 1, net.k))
         assert prof.segments == ()
-        assert prof.exhausted
-        assert prof.max_static_value() == 0
 
     def test_lengths_nondecreasing_and_amounts_positive(self, corpus):
         for entry in corpus[:60]:
@@ -89,16 +79,6 @@ class TestProfiles:
                     total = sum(l * t for l, t in zip(seg.certificate, taus))
                     assert total == seg.length
 
-    def test_certifies_helper(self):
-        from transship.ssp import FlowProfile, Segment
-        net = single_arc_network()
-        prof = compute_profile(net, TerminalSet.of_nodes(net, [0]))
-        # exhausted profiles pin down the value function everywhere
-        assert prof.certifies(F(2)) and prof.certifies(F(100))
-        cut = FlowProfile(segments=prof.segments, exhausted=False)
-        assert cut.certifies(F(3, 2))
-        assert not cut.certifies(F(2))
-
 
 class TestProfileCache:
     def test_memoizes(self):
@@ -118,12 +98,3 @@ class TestProfileCache:
             pa, pb = a.profile(bits), b.profile(bits)
             assert [(s.length, s.amount, s.certificate) for s in pa.segments] \
                 == [(s.length, s.amount, s.certificate) for s in pb.segments]
-
-
-class TestTruncation:
-    def test_truncated_profile_refuses_totals(self):
-        from transship.ssp import FlowProfile, Segment
-        prof = FlowProfile(segments=(Segment(F(1), F(2), (1,)),),
-                           exhausted=False)
-        with pytest.raises(ProfileTruncated):
-            prof.max_static_value()
