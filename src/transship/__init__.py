@@ -7,13 +7,13 @@ time achieving it.  All arithmetic is exact (rationals), so results
 are reproducible bit for bit.
 """
 
-from .core import (Arc, FlowNetwork, MAX_TERMINALS, Rat, SupplyVector,
-                   TerminalSet, format_rational, net_supply, parse_rational,
-                   validate_instance)
+from .core import (MAX_NODES, MAX_TERMINALS, Arc, FlowNetwork, Rat,
+                   SupplyVector, TerminalSet, format_rational, net_supply,
+                   parse_rational, validate_instance)
 from .errors import (ExpansionCapExceeded, InfeasibleDeadline,
                      InfeasibleForever, InstanceFormatError, InvariantViolation,
-                     SubsetCapExceeded, TransshipError)
-from .expansion import (FlowOverTime, TimeExpandedNetwork, XArc,
+                     NodeCapExceeded, SubsetCapExceeded, TransshipError)
+from .expansion import (FlowOverTime, TimeExpandedNetwork,
                         build_time_expanded, extract_transshipment,
                         feasible_by_expansion, scale_to_integral,
                         value_by_expansion, verify_flow)
@@ -30,18 +30,18 @@ __all__ = [
     "Arc", "ExpansionCapExceeded", "FlowNetwork", "FlowOverTime",
     "FlowProfile", "InfeasibleDeadline", "InfeasibleForever",
     "InstanceFormatError", "InvariantViolation", "IterationRecord",
-    "MAX_TERMINALS", "ProfileCache", "Rat", "Segment", "SlackMinimum",
-    "SolveResult", "SubsetCapExceeded", "SupplyVector", "TerminalSet",
-    "TimeExpandedNetwork", "TransshipError", "XArc", "breakpoints",
-    "build_time_expanded", "classify_iterations", "compute_profile",
-    "crossing_time", "dump_document", "extract_transshipment",
-    "feasible_by_expansion", "format_rational", "generate_instance",
-    "halving_violations", "is_feasible", "jump_set", "min_slack",
-    "minimize_slack", "net_supply", "parse_instance", "parse_rational",
-    "scale_to_integral", "serialize_instance", "slope_left",
-    "solve_newton_jumps", "solve_newton_simple", "sources_reach_sinks",
-    "theta_star_bruteforce", "validate_instance", "value_at",
-    "value_by_expansion", "verify_flow",
+    "MAX_NODES", "MAX_TERMINALS", "NodeCapExceeded", "ProfileCache", "Rat",
+    "Segment", "SlackMinimum", "SolveResult", "SubsetCapExceeded",
+    "SupplyVector", "TerminalSet", "TimeExpandedNetwork", "TransshipError",
+    "breakpoints", "build_time_expanded", "classify_iterations",
+    "compute_profile", "crossing_time", "dump_document",
+    "extract_transshipment", "feasible_by_expansion", "format_rational",
+    "generate_instance", "halving_violations", "is_feasible", "jump_set",
+    "min_slack", "minimize_slack", "net_supply", "parse_instance",
+    "parse_rational", "scale_to_integral", "serialize_instance",
+    "slope_left", "solve_newton_jumps", "solve_newton_simple",
+    "sources_reach_sinks", "theta_star_bruteforce", "validate_instance",
+    "value_at", "value_by_expansion", "verify_flow",
 ]
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .bench import run_bench, write_envelope_csv, write_rows_csv
 from .core import format_rational, parse_rational, validate_instance
 from .errors import (ExpansionCapExceeded, InfeasibleDeadline,
                      InfeasibleForever, InstanceFormatError, InvariantViolation,
-                     SubsetCapExceeded)
+                     NodeCapExceeded, SubsetCapExceeded)
 from .expansion import DEFAULT_NODE_CAP, extract_transshipment
 from .instances import (dump_document, generate_instance, parse_instance,
                         reject_duplicate_keys)
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("extract", cmd_extract, "materialize a flow over time (JSON)")
     instance_flags(p, theta=True)
     p.add_argument("--expansion-cap", type=int, default=DEFAULT_NODE_CAP,
-                   help="max node copies in the time expansion")
+                   help="max node copies, and max arc copies, in the time expansion")
 
     p = add("trace", cmd_trace, "per-iteration solver trace")
     instance_flags(p)
@@ -272,9 +272,7 @@ def main(argv=None) -> int:
         return _fail("infeasible-forever", exc, 1)
     except InfeasibleDeadline as exc:
         return _fail("infeasible-deadline", exc, 1)
-    except SubsetCapExceeded as exc:
-        return _fail("resource-cap", exc, 3)
-    except ExpansionCapExceeded as exc:
+    except (NodeCapExceeded, SubsetCapExceeded, ExpansionCapExceeded) as exc:
         return _fail("resource-cap", exc, 3)
     except InvariantViolation as exc:
         return _fail("internal", exc, 4)

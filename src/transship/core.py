@@ -44,6 +44,10 @@ Rat = Fraction
 # comfortably in machine words and brute-force enumeration is hopeless anyway.
 MAX_TERMINALS = 62
 
+# Node-count ceiling, checked by parse_instance before any per-node allocation:
+# a solve at this size stays near 25 MB, one at 10^9 nodes runs out of memory.
+MAX_NODES = 100_000
+
 
 def parse_rational(text) -> Rat:
     """Parse ``"p/q"``, a bare integer, or an int into a normalized rational.

@@ -67,13 +67,24 @@ class SubsetCapExceeded(TransshipError):
         )
 
 
-class ExpansionCapExceeded(TransshipError):
-    """A time-expanded network would exceed the configured node budget."""
+class NodeCapExceeded(TransshipError):
+    """An instance declares more nodes than the package accepts."""
 
-    def __init__(self, nodes_needed, cap):
-        self.nodes_needed = nodes_needed
+    def __init__(self, nodes, cap):
+        self.nodes = nodes
         self.cap = cap
+        super().__init__("instance declares %d nodes, over the cap of %d"
+                         % (nodes, cap))
+
+
+class ExpansionCapExceeded(TransshipError):
+    """A time expansion would exceed its budget of node or arc copies."""
+
+    def __init__(self, needed, cap, what):
+        self.needed = needed
+        self.cap = cap
+        self.what = what
         super().__init__(
-            "time expansion needs %d node copies, over the cap of %d"
-            % (nodes_needed, cap)
+            "time expansion needs %d %s copies, over the cap of %d"
+            % (needed, what, cap)
         )

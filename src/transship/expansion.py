@@ -14,6 +14,14 @@ agree exactly with the profile value for integral data.  Holdover arcs let
 flow wait anywhere; they carry volume, not rate, so their stand-in for an
 unbounded capacity is the total supply rather than any sum of capacities.
 
+The flow side runs on ints: ``build_time_expanded`` scales all capacities
+once, by the lcm of the denominators of the arc capacities and supplies,
+and Dinic's max flow runs on those ints.  Scaling every capacity alike keeps
+every augmenting path, so the flow is the rational one times the scale, and
+Fractions appear only in answers: rate pieces, a shortfall, a value.  The
+node cap bounds node copies and, separately, movement copies; both are
+checked before anything is allocated.
+
 ``extract_transshipment`` turns the max-flow back into a piecewise-constant
 rate function per original arc, and ``verify_flow`` re-checks such a flow
 against the instance from scratch.
@@ -33,7 +41,6 @@ from .errors import ExpansionCapExceeded, InfeasibleDeadline
 __all__ = [
     "DEFAULT_NODE_CAP",
     "scale_to_integral",
-    "XArc",
     "TimeExpandedNetwork",
     "build_time_expanded",
     "feasible_by_expansion",
@@ -72,23 +79,15 @@ def scale_to_integral(network: FlowNetwork, theta: Rat):
 
 
 @dataclass(frozen=True)
-class XArc:
-    """One arc of a time-expanded network, tagged with its origin."""
-
-    tail: int
-    head: int
-    capacity: Rat
-    kind: str               # "move" | "hold" | "supply" | "collect" | "demand"
-    base_arc: int | None    # original arc index for "move" copies
-    layer: int | None       # departure slice for "move"/"hold"/"collect"
-
-
-@dataclass(frozen=True)
 class TimeExpandedNetwork:
-    base: FlowNetwork       # scaled network (integral transit times)
-    steps: int
+    """A time expansion on ints, capacities times ``scale``: ``arcs`` holds
+    ``(tail, head, capacity)`` per copy, ``moves`` holds ``(index into arcs,
+    original arc, layer)`` per movement copy."""
+
+    scale: int
     node_count: int
-    arcs: tuple[XArc, ...]
+    arcs: tuple[tuple[int, int, int], ...]
+    moves: tuple[tuple[int, int, int], ...]
     super_source: int
     super_sink: int
 
@@ -100,9 +99,14 @@ def _check_expandable(network: FlowNetwork, steps: int, node_cap: int):
                              % (i, a.transit))
     if steps < 0:
         raise ValueError("negative number of steps")
-    needed = (steps + 1) * network.node_count
-    if needed > node_cap:
-        raise ExpansionCapExceeded(needed, node_cap)
+    nodes = (steps + 1) * network.node_count
+    if nodes > node_cap:
+        raise ExpansionCapExceeded(nodes, node_cap, "node")
+    # With parallel arcs, movement copies can outnumber node copies by any factor.
+    moves = sum(max(0, steps - int(a.transit)) for a in network.arcs
+                if a.capacity > 0)
+    if moves > node_cap:
+        raise ExpansionCapExceeded(moves, node_cap, "arc")
 
 
 def build_time_expanded(network: FlowNetwork, b: SupplyVector, steps: int, *,
@@ -112,43 +116,54 @@ def build_time_expanded(network: FlowNetwork, b: SupplyVector, steps: int, *,
     Sources feed from layer 0 (they sit on their supply until it leaves),
     sinks drain through one collector each so no sink can absorb more than
     its demand, and the total super-source capacity is the total supply.
+    The capacity scale is the lcm of the denominators of the arc capacities
+    and the supplies.
     """
     _check_expandable(network, steps, node_cap)
     n = network.node_count
     n_src = len(network.sources)
-    total = b.total_supply()
-    collector = {j: steps * n + j for j in range(len(network.sinks))}
-    s = steps * n + len(network.sinks)
-    t = s + 1
+    scale = math.lcm(*(a.capacity.denominator for a in network.arcs),
+                     *(x.denominator for x in b.values))
+    total = int(b.total_supply() * scale)
+    live = []           # (arc, tail, head offset, layers with a copy, capacity)
+    for idx, a in enumerate(network.arcs):
+        if a.capacity > 0:
+            transit = int(a.transit)
+            live.append((idx, a.tail, transit * n + a.head, steps - transit,
+                         int(a.capacity * scale)))
     arcs = []
+    moves = []
     for layer in range(steps):
         base = layer * n
-        for idx, a in enumerate(network.arcs):
-            arrive = layer + int(a.transit)
-            if arrive <= steps - 1 and a.capacity > 0:
-                arcs.append(XArc(base + a.tail, arrive * n + a.head,
-                                 a.capacity, "move", idx, layer))
+        for idx, tail, reach, end, cap in live:
+            if layer < end:
+                moves.append((len(arcs), idx, layer))
+                arcs.append((base + tail, base + reach, cap))
         if layer + 1 < steps and total > 0:
-            for v in range(n):
-                arcs.append(XArc(base + v, base + n + v, total, "hold", None, layer))
+            arcs.extend((base + v, base + n + v, total) for v in range(n))
+    s = steps * n + len(network.sinks)
+    t = s + 1
     if steps > 0:
         for i, v in enumerate(network.sources):
             if b.values[i] > 0:
-                arcs.append(XArc(s, v, b.values[i], "supply", None, None))
+                arcs.append((s, v, int(b.values[i] * scale)))
         for j, w in enumerate(network.sinks):
             demand = -b.values[n_src + j]
-            if demand <= 0:
-                continue
-            for layer in range(steps):
-                arcs.append(XArc(layer * n + w, collector[j], total, "collect",
-                                 None, layer))
-            arcs.append(XArc(collector[j], t, demand, "demand", None, None))
-    return TimeExpandedNetwork(base=network, steps=steps, node_count=t + 1,
-                               arcs=tuple(arcs), super_source=s, super_sink=t)
+            if demand > 0:
+                collector = steps * n + j
+                arcs.extend((layer * n + w, collector, total) for layer in range(steps))
+                arcs.append((collector, t, int(demand * scale)))
+    return TimeExpandedNetwork(scale=scale, node_count=t + 1,
+                               arcs=tuple(arcs), moves=tuple(moves),
+                               super_source=s, super_sink=t)
 
 
 def _max_flow_int(n: int, arcs, s: int, t: int):
-    """Dinic's algorithm on integer capacities; returns (value, per-arc flow)."""
+    """Dinic's algorithm on integer capacities; returns (value, per-arc flow).
+
+    The breadth-first search stops at the sink: nodes at or beyond its level
+    can only dead-end in the blocking-flow search, so the augmenting paths
+    and their order are those of a full search."""
     adj = [[] for _ in range(n)]
     to = []
     cap = []
@@ -162,10 +177,14 @@ def _max_flow_int(n: int, arcs, s: int, t: int):
         queue = deque([s])
         while queue:
             u = queue.popleft()
+            if u == t:
+                break
+            nxt = level[u] + 1
             for e in adj[u]:
-                if cap[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
+                w = to[e]
+                if level[w] < 0 and cap[e]:
+                    level[w] = nxt
+                    queue.append(w)
         if level[t] < 0:
             break
         it = [0] * n
@@ -175,46 +194,30 @@ def _max_flow_int(n: int, arcs, s: int, t: int):
             if v == t:
                 aug = min(cap[e] for e in stack)
                 value += aug
-                cut = None
-                for i, e in enumerate(stack):
+                for e in stack:
                     cap[e] -= aug
                     cap[e ^ 1] += aug
-                    if cut is None and cap[e] == 0:
-                        cut = i
-                del stack[cut:]
-                v = s if not stack else to[stack[-1]]
+                del stack[next(i for i, e in enumerate(stack) if not cap[e]):]
+                v = to[stack[-1]] if stack else s
                 continue
-            moved = False
-            while it[v] < len(adj[v]):
-                e = adj[v][it[v]]
-                if cap[e] > 0 and level[to[e]] == level[v] + 1:
-                    stack.append(e)
-                    v = to[e]
-                    moved = True
+            edges = adj[v]
+            i = it[v]
+            nxt = level[v] + 1
+            while i < len(edges):
+                e = edges[i]
+                if cap[e] and level[to[e]] == nxt:
                     break
-                it[v] += 1
-            if not moved:
+                i += 1
+            it[v] = i
+            if i < len(edges):
+                stack.append(e)
+                v = to[e]
+            else:
                 level[v] = -1
                 if not stack:
                     break
                 v = to[stack.pop() ^ 1]
-    return value, [cap[2 * i + 1] for i in range(len(arcs))]
-
-
-def _max_flow_exact(n: int, arcs, s: int, t: int):
-    """Exact rational max flow by clearing denominators first."""
-    denom = 1
-    for _, _, c in arcs:
-        denom = math.lcm(denom, c.denominator)
-    scaled = [(u, v, int(c * denom)) for u, v, c in arcs]
-    value, flows = _max_flow_int(n, scaled, s, t)
-    return Fraction(value, denom), [Fraction(f, denom) for f in flows]
-
-
-def _run_expanded(xnet: TimeExpandedNetwork):
-    return _max_flow_exact(xnet.node_count,
-                           [(a.tail, a.head, a.capacity) for a in xnet.arcs],
-                           xnet.super_source, xnet.super_sink)
+    return value, cap[1::2]
 
 
 def feasible_by_expansion(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
@@ -225,48 +228,28 @@ def feasible_by_expansion(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     if total == 0:
         return True
     xnet = build_time_expanded(scaled, b, steps, node_cap=node_cap)
-    value, _ = _run_expanded(xnet)
-    return value == total
+    value, _ = _max_flow_int(xnet.node_count, xnet.arcs, xnet.super_source,
+                             xnet.super_sink)
+    return value == total * xnet.scale
 
 
 def value_by_expansion(network: FlowNetwork, subset: TerminalSet, theta: Rat, *,
                        node_cap: int = DEFAULT_NODE_CAP) -> Rat:
     """Maximum amount the subset can ship out by ``theta``, via expansion.
 
-    Terminal wiring is uncapped here (the question ignores supplies), so the
-    stand-in for infinity is the total movement capacity of the expansion.
+    The question ignores supplies, so the subset's sources hold, and the
+    sinks outside it absorb, more than all movement copies can carry.
     """
     scaled, steps, _ = scale_to_integral(network, theta)
-    _check_expandable(scaled, steps, node_cap)
-    n = scaled.node_count
+    big = steps * scaled.capacity_bound + 1
     n_src = len(scaled.sources)
-    s = steps * n
-    t = s + 1
-    arcs = []
-    big = Fraction(0)
-    for layer in range(steps):
-        for idx, a in enumerate(scaled.arcs):
-            arrive = layer + int(a.transit)
-            if arrive <= steps - 1 and a.capacity > 0:
-                arcs.append((layer * n + a.tail, arrive * n + a.head, a.capacity))
-                big += a.capacity
-    big += 1
-    moves = len(arcs)
-    for layer in range(steps - 1):
-        for v in range(n):
-            arcs.append((layer * n + v, (layer + 1) * n + v, big))
-    if steps > 0:
-        for i, v in enumerate(scaled.sources):
-            if i in subset:
-                arcs.append((s, v, big))
-        for j, w in enumerate(scaled.sinks):
-            if (n_src + j) not in subset:
-                for layer in range(steps):
-                    arcs.append((layer * n + w, t, big))
-    if moves == 0:
-        return Fraction(0)
-    value, _ = _max_flow_exact(t + 1, arcs, s, t)
-    return value
+    values = [big if i in subset else 0 for i in range(n_src)]
+    values += [0 if i in subset else -big for i in range(n_src, scaled.k)]
+    xnet = build_time_expanded(scaled, SupplyVector(tuple(values)), steps,
+                               node_cap=node_cap)
+    value, _ = _max_flow_int(xnet.node_count, xnet.arcs, xnet.super_source,
+                             xnet.super_sink)
+    return Fraction(value, xnet.scale)
 
 
 @dataclass(frozen=True)
@@ -283,15 +266,17 @@ class FlowOverTime:
     rates: tuple[tuple[tuple[Rat, Rat], ...], ...]
 
 
-def _steps_to_pieces(layer_rates, q: int):
+def _pieces(volumes, q: int, scale: int):
+    """Rate steps of one arc from its scaled volume per layer.  A layer is
+    1/q wide, so its rate is volume * q / scale."""
     pieces = []
-    current = Fraction(0)
-    for layer, rate in enumerate(layer_rates):
-        if rate != current:
-            pieces.append((Fraction(layer, q), rate))
-            current = rate
-    if current != 0:
-        pieces.append((Fraction(len(layer_rates), q), Fraction(0)))
+    current = 0
+    for layer, flow in enumerate(volumes):
+        if flow != current:
+            pieces.append((Fraction(layer, q), Fraction(flow * q, scale)))
+            current = flow
+    if current:
+        pieces.append((Fraction(len(volumes), q), Fraction(0)))
     return tuple(pieces)
 
 
@@ -308,16 +293,16 @@ def extract_transshipment(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     if total == 0:
         return FlowOverTime(theta=theta, rates=tuple(() for _ in network.arcs))
     xnet = build_time_expanded(scaled, b, steps, node_cap=node_cap)
-    value, flows = _run_expanded(xnet)
-    if value != total:
-        raise InfeasibleDeadline(theta, total - value)
-    per_arc = [[Fraction(0)] * steps for _ in network.arcs]
-    for xarc, flow in zip(xnet.arcs, flows):
-        if xarc.kind == "move" and flow:
-            # volume in a slice of width 1/q, hence rate = volume * q
-            per_arc[xarc.base_arc][xarc.layer] += flow * q
-    return FlowOverTime(theta=theta,
-                        rates=tuple(_steps_to_pieces(rates, q) for rates in per_arc))
+    value, flows = _max_flow_int(xnet.node_count, xnet.arcs, xnet.super_source,
+                                 xnet.super_sink)
+    shortfall = total - Fraction(value, xnet.scale)
+    if shortfall:
+        raise InfeasibleDeadline(theta, shortfall)
+    per_arc = [[0] * steps for _ in network.arcs]
+    for copy, idx, layer in xnet.moves:
+        per_arc[idx][layer] = flows[copy]
+    return FlowOverTime(theta=theta, rates=tuple(
+        _pieces(volumes, q, xnet.scale) for volumes in per_arc))
 
 
 class _Cumulative:

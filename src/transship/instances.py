@@ -23,9 +23,9 @@ import json
 import random
 from fractions import Fraction
 
-from .core import (Arc, FlowNetwork, Rat, SupplyVector, format_rational,
-                   parse_rational)
-from .errors import InstanceFormatError
+from .core import (MAX_NODES, Arc, FlowNetwork, Rat, SupplyVector,
+                   format_rational, parse_rational)
+from .errors import InstanceFormatError, NodeCapExceeded
 
 __all__ = [
     "parse_instance",
@@ -85,6 +85,8 @@ def parse_instance(doc) -> tuple[FlowNetwork, SupplyVector]:
         raise InstanceFormatError("instance document must be a JSON object")
     _known_fields(doc, ("nodes", "arcs", "sources", "sinks"), "")
     n = _as_int(_field(doc, "nodes", ""), "nodes")
+    if n > MAX_NODES:
+        raise NodeCapExceeded(n, MAX_NODES)
     arcs = []
     raw_arcs = _field(doc, "arcs", "")
     if not isinstance(raw_arcs, list):

@@ -9,7 +9,7 @@ import pytest
 from transship.cli import build_parser, main
 from transship.instances import dump_document
 from conftest import instance_b_network, instance_b_supply
-from transship import serialize_instance
+from transship import MAX_NODES, serialize_instance
 
 
 @pytest.fixture
@@ -234,6 +234,17 @@ class TestInputChecks:
         assert code == 2
         doc = json.loads(err)
         assert doc["error"] == "input" and "'sinks'" in doc["message"]
+
+    def test_node_cap(self, capsys, tmp_path):
+        net = instance_b_network()
+        doc = serialize_instance(net, instance_b_supply(net))
+        doc["nodes"] = MAX_NODES + 1
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "resource-cap" and "nodes" in doc["message"]
 
     def test_unknown_field(self, capsys, tmp_path):
         net = instance_b_network()

@@ -1,3 +1,6 @@
+import math
+import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +11,173 @@ from transship import (Arc, ExpansionCapExceeded, FlowNetwork, FlowOverTime,
                        InfeasibleDeadline, ProfileCache, SupplyVector,
                        TerminalSet, build_time_expanded, extract_transshipment,
                        feasible_by_expansion, is_feasible, scale_to_integral,
-                       value_at, value_by_expansion, verify_flow)
+                       solve_newton_jumps, value_at, value_by_expansion,
+                       verify_flow)
 from conftest import (instance_b_network, instance_b_supply,
                       single_arc_network, single_arc_supply)
+
+# ---------------------------------------------------------------------------
+# Reference: the flow side on Fractions, as the package ran it before the
+# expansion moved to ints.  Same copy order and the same Dinic, with a
+# breadth-first search over the whole network, on capacities cleared of
+# their common denominator per max flow.
+
+
+def reference_max_flow(n, arcs, s, t):
+    """(value, per-copy flow) for rational capacities."""
+    denom = 1
+    for _, _, c in arcs:
+        denom = math.lcm(denom, c.denominator)
+    adj = [[] for _ in range(n)]
+    to = []
+    cap = []
+    for u, v, c in arcs:
+        adj[u].append(len(to)); to.append(v); cap.append(int(c * denom))
+        adj[v].append(len(to)); to.append(u); cap.append(0)
+    value = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for e in adj[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[t] < 0:
+            break
+        it = [0] * n
+        stack = []
+        v = s
+        while True:
+            if v == t:
+                aug = min(cap[e] for e in stack)
+                value += aug
+                cut = None
+                for i, e in enumerate(stack):
+                    cap[e] -= aug
+                    cap[e ^ 1] += aug
+                    if cut is None and cap[e] == 0:
+                        cut = i
+                del stack[cut:]
+                v = s if not stack else to[stack[-1]]
+                continue
+            moved = False
+            while it[v] < len(adj[v]):
+                e = adj[v][it[v]]
+                if cap[e] > 0 and level[to[e]] == level[v] + 1:
+                    stack.append(e)
+                    v = to[e]
+                    moved = True
+                    break
+                it[v] += 1
+            if not moved:
+                level[v] = -1
+                if not stack:
+                    break
+                v = to[stack.pop() ^ 1]
+    return F(value, denom), [F(cap[2 * i + 1], denom) for i in range(len(arcs))]
+
+
+def reference_expansion(network, b, steps):
+    """(node count, s, t, copies); a copy is (tail, head, capacity, original
+    arc or None, layer)."""
+    n = network.node_count
+    n_src = len(network.sources)
+    total = b.total_supply()
+    s = steps * n + len(network.sinks)
+    t = s + 1
+    arcs = []
+    for layer in range(steps):
+        base = layer * n
+        for idx, a in enumerate(network.arcs):
+            arrive = layer + int(a.transit)
+            if arrive <= steps - 1 and a.capacity > 0:
+                arcs.append((base + a.tail, arrive * n + a.head, a.capacity,
+                             idx, layer))
+        if layer + 1 < steps and total > 0:
+            for v in range(n):
+                arcs.append((base + v, base + n + v, total, None, layer))
+    if steps > 0:
+        for i, v in enumerate(network.sources):
+            if b.values[i] > 0:
+                arcs.append((s, v, b.values[i], None, None))
+        for j, w in enumerate(network.sinks):
+            demand = -b.values[n_src + j]
+            if demand <= 0:
+                continue
+            for layer in range(steps):
+                arcs.append((layer * n + w, steps * n + j, total, None, layer))
+            arcs.append((steps * n + j, t, demand, None, None))
+    return t + 1, s, t, arcs
+
+
+def reference_extract(network, b, theta):
+    scaled, steps, q = scale_to_integral(network, theta)
+    total = b.total_supply()
+    if total == 0:
+        return FlowOverTime(theta=theta, rates=tuple(() for _ in network.arcs))
+    n, s, t, arcs = reference_expansion(scaled, b, steps)
+    value, flows = reference_max_flow(n, [a[:3] for a in arcs], s, t)
+    if value != total:
+        raise InfeasibleDeadline(theta, total - value)
+    per_arc = [[F(0)] * steps for _ in network.arcs]
+    for (_, _, _, idx, layer), flow in zip(arcs, flows):
+        if idx is not None and flow:
+            per_arc[idx][layer] += flow * q
+    rates = []
+    for layer_rates in per_arc:
+        pieces = []
+        current = F(0)
+        for layer, rate in enumerate(layer_rates):
+            if rate != current:
+                pieces.append((F(layer, q), rate))
+                current = rate
+        if current != 0:
+            pieces.append((F(len(layer_rates), q), F(0)))
+        rates.append(tuple(pieces))
+    return FlowOverTime(theta=theta, rates=tuple(rates))
+
+
+def reference_value(network, subset, theta):
+    scaled, steps, _ = scale_to_integral(network, theta)
+    n = scaled.node_count
+    n_src = len(scaled.sources)
+    s = steps * n
+    t = s + 1
+    arcs = []
+    big = F(0)
+    for layer in range(steps):
+        for a in scaled.arcs:
+            arrive = layer + int(a.transit)
+            if arrive <= steps - 1 and a.capacity > 0:
+                arcs.append((layer * n + a.tail, arrive * n + a.head, a.capacity))
+                big += a.capacity
+    big += 1
+    moves = len(arcs)
+    for layer in range(steps - 1):
+        for v in range(n):
+            arcs.append((layer * n + v, (layer + 1) * n + v, big))
+    if steps > 0:
+        for i, v in enumerate(scaled.sources):
+            if i in subset:
+                arcs.append((s, v, big))
+        for j, w in enumerate(scaled.sinks):
+            if (n_src + j) not in subset:
+                for layer in range(steps):
+                    arcs.append((layer * n + w, t, big))
+    if moves == 0:
+        return F(0)
+    return reference_max_flow(t + 1, arcs, s, t)[0]
+
+
+def outcome(extract, network, b, theta):
+    """The flow, or the shortfall when the deadline is too small."""
+    try:
+        return extract(network, b, theta)
+    except InfeasibleDeadline as exc:
+        return ("short", exc.shortfall)
 
 
 class TestScaling:
@@ -58,49 +225,74 @@ class TestScaling:
             assert after.capacity * q == before.capacity
 
 
-def moves(xnet):
-    """Copies of original arcs in a time expansion."""
-    return [a for a in xnet.arcs if a.kind == "move"]
-
-
 class TestLayering:
     def test_movement_copy_count(self):
         # transit 2 inside 5 unit steps: departures at 0, 1 and 2 only
         net = single_arc_network()
         b = single_arc_supply(net)
         expanded = build_time_expanded(net, b, 5)
-        assert len(moves(expanded)) == 3
+        assert [(arc, layer) for _, arc, layer in expanded.moves] == [
+            (0, 0), (0, 1), (0, 2)]
+        assert [expanded.arcs[copy] for copy, _, _ in expanded.moves] == [
+            (0, 5, 1), (2, 7, 1), (4, 9, 1)]
 
     def test_zero_transit_gets_one_copy_per_step(self):
         net = FlowNetwork(node_count=2, arcs=(Arc(0, 1, F(1), F(0)),),
                           sources=(0,), sinks=(1,))
         b = SupplyVector.for_network(net, {0: F(2), 1: F(-2)})
         expanded = build_time_expanded(net, b, 4)
-        assert len(moves(expanded)) == 4
+        assert len(expanded.moves) == 4
 
     def test_too_long_transit_gets_none(self):
         net = single_arc_network()
         b = single_arc_supply(net)
         expanded = build_time_expanded(net, b, 2)
-        assert moves(expanded) == []
+        assert expanded.moves == ()
 
     def test_holdover_and_wiring_caps(self):
         net = single_arc_network()
         b = single_arc_supply(net)  # total supply 3
         expanded = build_time_expanded(net, b, 5)
-        holds = [a for a in expanded.arcs if a.kind == "hold"]
-        assert holds and all(a.capacity == 3 for a in holds)
-        supply = [a for a in expanded.arcs if a.kind == "supply"]
-        assert [(a.tail, a.capacity) for a in supply] == [
-            (expanded.super_source, F(3))]
-        demand = [a for a in expanded.arcs if a.kind == "demand"]
-        assert [a.capacity for a in demand] == [F(3)]
+        n, s, t = net.node_count, expanded.super_source, expanded.super_sink
+        assert expanded.scale == 1
+        copies = {copy for copy, _, _ in expanded.moves}
+        holds = [a for i, a in enumerate(expanded.arcs)
+                 if i not in copies and max(a[:2]) < 5 * n]
+        assert len(holds) == 4 * n
+        assert all(v == u + n and c == 3 for u, v, c in holds)
+        assert [(u, c) for u, _, c in expanded.arcs if u == s] == [(s, 3)]
+        assert [c for _, v, c in expanded.arcs if v == t] == [3]
+
+    def test_one_capacity_scale(self):
+        # capacities 1/2 and 1/3 after scaling, supply 5/4: scale lcm(2, 3, 4)
+        net = FlowNetwork(node_count=2, arcs=(Arc(0, 1, F(1), F(0)),
+                                              Arc(0, 1, F(2, 3), F(1))),
+                          sources=(0,), sinks=(1,))
+        b = SupplyVector.for_network(net, {0: F(5, 4), 1: F(-5, 4)})
+        scaled, steps, q = scale_to_integral(net, F(3, 2))
+        expanded = build_time_expanded(scaled, b, steps)
+        assert (q, steps, expanded.scale) == (2, 3, 12)
+        assert {expanded.arcs[copy][2] for copy, _, _ in expanded.moves} == {6, 4}
+        s = expanded.super_source
+        assert [c for u, _, c in expanded.arcs if u == s] == [15]
 
     def test_node_cap_enforced(self):
         net = single_arc_network()
         b = single_arc_supply(net)
         with pytest.raises(ExpansionCapExceeded):
             build_time_expanded(net, b, 10 ** 7)
+
+    def test_arc_copies_count_against_the_cap(self):
+        # 202 node copies fit a cap of 1000; 50 parallel arcs over 100
+        # steps ask for 5000 movement copies, which do not.
+        net = FlowNetwork(node_count=2,
+                          arcs=tuple(Arc(0, 1, F(1), F(0)) for _ in range(50)),
+                          sources=(0,), sinks=(1,))
+        b = SupplyVector.for_network(net, {0: F(1), 1: F(-1)})
+        with pytest.raises(ExpansionCapExceeded) as err:
+            build_time_expanded(net, b, 100, node_cap=1000)
+        assert (err.value.needed, err.value.what) == (5000, "arc")
+        assert len(build_time_expanded(net, b, 20, node_cap=1000).moves) == 1000
 
 
 class TestFeasibilityOracle:
@@ -184,6 +376,60 @@ class TestExtraction:
             if done == 25:
                 break
         assert done == 25
+
+
+def rational_variant(network, seed):
+    """The network with each capacity and transit time divided by a seeded
+    denominator in 1..3."""
+    rng = random.Random(seed)
+    arcs = tuple(Arc(a.tail, a.head, a.capacity / rng.randint(1, 3),
+                     a.transit / rng.randint(1, 3)) for a in network.arcs)
+    return FlowNetwork(network.node_count, arcs, network.sources, network.sinks)
+
+
+def node_copies(network, theta):
+    _, steps, _ = scale_to_integral(network, theta)
+    return (steps + 1) * network.node_count
+
+
+class TestAgainstReference:
+    """The integer flow side gives the reference's flows, shortfalls and
+    values exactly."""
+
+    def check(self, network, b, star):
+        for theta in (star, star - F(1, 2)):
+            if theta >= 0:
+                assert outcome(extract_transshipment, network, b, theta) \
+                    == outcome(reference_extract, network, b, theta), theta
+        for bits in range(1 << network.k):
+            subset = TerminalSet(bits, network.k)
+            assert value_by_expansion(network, subset, star) \
+                == reference_value(network, subset, star), bits
+
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_corpus(self, corpus, integral):
+        entries = [e for e in corpus
+                   if (e.jumps.theta_star.denominator == 1) == integral
+                   and e.network.k <= 4
+                   and node_copies(e.network, e.jumps.theta_star) <= 400][:8]
+        assert len(entries) == 8
+        for entry in entries:
+            self.check(entry.network, entry.b, entry.jumps.theta_star)
+
+    def test_rational_variants(self, corpus):
+        done = 0
+        for entry in corpus:
+            network = rational_variant(entry.network, entry.seed)
+            star = solve_newton_jumps(network, entry.b).theta_star
+            integral = all(a.capacity.denominator == a.transit.denominator == 1
+                           for a in network.arcs)
+            if integral or network.k > 4 or node_copies(network, star) > 400:
+                continue
+            self.check(network, entry.b, star)
+            done += 1
+            if done == 8:
+                break
+        assert done == 8
 
 
 class TestVerifier:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transship import (InstanceFormatError, dump_document, generate_instance,
-                       parse_instance, serialize_instance,
-                       sources_reach_sinks, validate_instance)
+from transship import (MAX_NODES, InstanceFormatError, NodeCapExceeded,
+                       dump_document, generate_instance, parse_instance,
+                       serialize_instance, sources_reach_sinks,
+                       validate_instance)
 from conftest import instance_b_network, instance_b_supply
 
 
@@ -76,6 +77,14 @@ class TestParsing:
         with pytest.raises(InstanceFormatError) as err:
             parse_instance(text)
         assert "'sinks'" in str(err.value)
+
+    def test_node_count_capped(self):
+        doc = {"nodes": 10 ** 9, "arcs": [], "sources": [], "sinks": []}
+        with pytest.raises(NodeCapExceeded) as err:
+            parse_instance(doc)
+        assert (err.value.nodes, err.value.cap) == (10 ** 9, MAX_NODES)
+        doc["nodes"] = MAX_NODES
+        assert parse_instance(doc)[0].node_count == MAX_NODES
 
     def test_unknown_field_path(self):
         edits = {

@@ -4,21 +4,24 @@ The acceptance corpus only has integer capacities and transit times.  Here
 capacities and transit times have denominators up to 12, some arcs have
 zero capacity, and some instances carry a cycle of zero transit time.  The
 integer profile kernel is compared against the rational successive-shortest-
-paths algorithm kept below as the reference, and the solvers against each
-other and against two exact symmetries of the problem.
+paths algorithm kept below as the reference, the solvers against each other
+and against two exact symmetries of the problem, and the time expansion
+against the solvers' answer.
 """
 
 import heapq
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from transship import (Arc, FlowNetwork, ProfileCache, SupplyVector,
                        TerminalSet, breakpoints, compute_profile,
-                       minimize_slack, net_supply, solve_newton_jumps,
-                       solve_newton_simple, sources_reach_sinks,
-                       theta_star_bruteforce, value_at)
+                       extract_transshipment, feasible_by_expansion,
+                       minimize_slack, net_supply, scale_to_integral,
+                       solve_newton_jumps, solve_newton_simple,
+                       sources_reach_sinks, theta_star_bruteforce, value_at,
+                       verify_flow)
 
 # ---------------------------------------------------------------------------
 # Reference: successive shortest paths on Fractions, as the package ran them
@@ -92,13 +95,19 @@ def reference_profile(network, subset):
 # finite answer exists), extra arcs that may have zero capacity, and
 # optionally a two-arc cycle of zero transit time.
 
-transits = st.fractions(min_value=0, max_value=6, max_denominator=12)
-positive = st.fractions(min_value=F(1, 12), max_value=6, max_denominator=12)
-capacities = st.one_of(st.just(F(0)), positive)
+def transit_times(max_denominator=12):
+    return st.fractions(min_value=0, max_value=6, max_denominator=max_denominator)
+
+
+transits = transit_times()
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_denominator=12):
+    transits = transit_times(max_denominator)
+    positive = st.fractions(min_value=F(1, max_denominator), max_value=6,
+                            max_denominator=max_denominator)
+    capacities = st.one_of(st.just(F(0)), positive)
     n = draw(st.integers(2, 5))
     chain = draw(st.permutations(range(n)))
     arcs = [Arc(chain[i], chain[i + 1], draw(positive), draw(transits))
@@ -189,3 +198,20 @@ def test_solvers_agree_and_respect_scaling(instance, time, rate):
     # Capacities and supplies times the same factor: the same deadline.
     heavier = scaled(network, b, rate, F(1))
     assert solve_newton_jumps(*heavier).theta_star == star
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=instances(max_denominator=3))
+def test_expansion_agrees_and_extracted_flow_verifies(instance):
+    # Denominators up to 3 keep the time grid coarse, so expansions fit
+    # the default cap; the one in ten over 2,000 node copies is skipped to
+    # keep the test fast.
+    network, b = instance
+    star = solve_newton_jumps(network, b).theta_star
+    _, steps, q = scale_to_integral(network, star)
+    assume((steps + 1) * network.node_count <= 2000)
+    assert feasible_by_expansion(network, b, star)
+    # theta* less one step of its own time grid must be infeasible.
+    assert not feasible_by_expansion(network, b, star - F(1, q))
+    flow = extract_transshipment(network, b, star)
+    assert verify_flow(network, b, flow, star) == []
