@@ -208,10 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def instance_flags(p, theta=False):
+    def instance_flags(p, theta=False, subsets=True):
         p.add_argument("--input", required=True, help="instance JSON file")
-        p.add_argument("--bf-cap", type=int, default=DEFAULT_SUBSET_CAP,
-                       help="max terminals for brute-force subset enumeration")
+        if subsets:
+            p.add_argument("--bf-cap", type=int, default=DEFAULT_SUBSET_CAP,
+                           help="max terminals for brute-force subset enumeration")
         if theta:
             p.add_argument("--theta", required=True,
                            help="deadline, as an integer or p/q")
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = add("extract", cmd_extract, "materialize a flow over time (JSON)")
-    instance_flags(p, theta=True)
+    instance_flags(p, theta=True, subsets=False)
     p.add_argument("--expansion-cap", type=int, default=DEFAULT_NODE_CAP,
                    help="max node copies, and max arc copies, in the time expansion")
 

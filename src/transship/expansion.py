@@ -16,11 +16,11 @@ unbounded capacity is the total supply rather than any sum of capacities.
 
 The flow side runs on ints: ``build_time_expanded`` scales all capacities
 once, by the lcm of the denominators of the arc capacities and supplies,
-and Dinic's max flow runs on those ints.  Scaling every capacity alike keeps
-every augmenting path, so the flow is the rational one times the scale, and
-Fractions appear only in answers: rate pieces, a shortfall, a value.  The
-node cap bounds node copies and, separately, movement copies; both are
-checked before anything is allocated.
+and a highest-label push-relabel max flow runs on those ints, once per
+question.  Fractions appear only in answers: rate pieces, a shortfall, a
+value.  Max flows are not unique; the extracted one is whichever the max
+flow finds, the same on every run.  The node cap bounds node copies and,
+separately, movement copies; both are checked before anything is allocated.
 
 ``extract_transshipment`` turns the max-flow back into a piecewise-constant
 rate function per original arc, and ``verify_flow`` re-checks such a flow
@@ -34,6 +34,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .core import Arc, FlowNetwork, Rat, SupplyVector, TerminalSet
 from .errors import ExpansionCapExceeded, InfeasibleDeadline
@@ -159,78 +160,84 @@ def build_time_expanded(network: FlowNetwork, b: SupplyVector, steps: int, *,
 
 
 def _max_flow_int(n: int, arcs, s: int, t: int):
-    """Dinic's algorithm on integer capacities; returns (value, per-arc flow).
-
-    The breadth-first search stops at the sink: nodes at or beyond its level
-    can only dead-end in the blocking-flow search, so the augmenting paths
-    and their order are those of a full search."""
+    """Highest-label push-relabel on integer capacities; returns (value,
+    per-arc flow).  Labels are exact sink distances, recomputed by a
+    breadth-first search from the sink at the start and after every n
+    relabels.  Only the first phase runs, so the per-arc flow is a flow
+    only when the value saturates the source's arcs."""
     adj = [[] for _ in range(n)]
     to = []
     cap = []
     for u, v, c in arcs:
         adj[u].append(len(to)); to.append(v); cap.append(c)
         adj[v].append(len(to)); to.append(u); cap.append(0)
-    value = 0
+    excess = [0] * n
+    for e in adj[s]:
+        excess[to[e]] += cap[e]
+        cap[e ^ 1] += cap[e]
+        cap[e] = 0
+    relabels = n
     while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                break
-            nxt = level[u] + 1
-            for e in adj[u]:
-                w = to[e]
-                if level[w] < 0 and cap[e]:
-                    level[w] = nxt
-                    queue.append(w)
-        if level[t] < 0:
-            break
-        it = [0] * n
-        stack = []
-        v = s
-        while True:
-            if v == t:
-                aug = min(cap[e] for e in stack)
-                value += aug
-                for e in stack:
-                    cap[e] -= aug
-                    cap[e ^ 1] += aug
-                del stack[next(i for i, e in enumerate(stack) if not cap[e]):]
-                v = to[stack[-1]] if stack else s
+        if relabels >= n:
+            # Nothing flows back to the source, so the search never reaches it.
+            label = [n] * n
+            label[t] = 0
+            queue = deque([t])
+            while queue:
+                v = queue.popleft()
+                for e in adj[v]:
+                    w = to[e]
+                    if label[w] == n and cap[e ^ 1]:
+                        label[w] = label[v] + 1
+                        queue.append(w)
+            active = [(-label[v], v) for v in range(n)
+                      if excess[v] and label[v] < n and v != t]
+            heapify(active)
+            current = [0] * n
+            relabels = 0
+        if not active:
+            return excess[t], cap[1::2]
+        _, v = heappop(active)
+        edges = adj[v]
+        height, ex, i = label[v], excess[v], current[v]
+        while ex and height < n:
+            if i == len(edges):
+                relabels += 1
+                label[v] = height = 1 + min(
+                    (label[to[e]] for e in edges if cap[e]), default=n)
+                i = 0
                 continue
-            edges = adj[v]
-            i = it[v]
-            nxt = level[v] + 1
-            while i < len(edges):
-                e = edges[i]
-                if cap[e] and level[to[e]] == nxt:
-                    break
+            e = edges[i]
+            if cap[e] and label[to[e]] == height - 1:
+                w = to[e]
+                push = min(ex, cap[e])
+                if not excess[w] and w != t:
+                    heappush(active, (1 - height, w))
+                excess[w] += push
+                cap[e] -= push
+                cap[e ^ 1] += push
+                ex -= push
+            if ex:
                 i += 1
-            it[v] = i
-            if i < len(edges):
-                stack.append(e)
-                v = to[e]
-            else:
-                level[v] = -1
-                if not stack:
-                    break
-                v = to[stack.pop() ^ 1]
-    return value, cap[1::2]
+        excess[v] = ex
+        current[v] = i
+
+
+def _expanded_max_flow(network: FlowNetwork, b: SupplyVector, theta: Rat,
+                       node_cap: int):
+    """Scale time, expand, and run the max flow on the expansion.  Returns
+    ``(value, q, expansion, per-copy flow)``, the value in supply units."""
+    scaled, steps, q = scale_to_integral(network, theta)
+    xnet = build_time_expanded(scaled, b, steps, node_cap=node_cap)
+    value, flows = _max_flow_int(xnet.node_count, xnet.arcs, xnet.super_source,
+                                 xnet.super_sink)
+    return Fraction(value, xnet.scale), q, xnet, flows
 
 
 def feasible_by_expansion(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
                           node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """Feasibility by discretize-and-max-flow, independent of the profiles."""
-    scaled, steps, _ = scale_to_integral(network, theta)
-    total = b.total_supply()
-    if total == 0:
-        return True
-    xnet = build_time_expanded(scaled, b, steps, node_cap=node_cap)
-    value, _ = _max_flow_int(xnet.node_count, xnet.arcs, xnet.super_source,
-                             xnet.super_sink)
-    return value == total * xnet.scale
+    return _expanded_max_flow(network, b, theta, node_cap)[0] == b.total_supply()
 
 
 def value_by_expansion(network: FlowNetwork, subset: TerminalSet, theta: Rat, *,
@@ -240,16 +247,12 @@ def value_by_expansion(network: FlowNetwork, subset: TerminalSet, theta: Rat, *,
     The question ignores supplies, so the subset's sources hold, and the
     sinks outside it absorb, more than all movement copies can carry.
     """
-    scaled, steps, _ = scale_to_integral(network, theta)
-    big = steps * scaled.capacity_bound + 1
-    n_src = len(scaled.sources)
+    big = Fraction(theta) * network.capacity_bound + 1
+    n_src = len(network.sources)
     values = [big if i in subset else 0 for i in range(n_src)]
-    values += [0 if i in subset else -big for i in range(n_src, scaled.k)]
-    xnet = build_time_expanded(scaled, SupplyVector(tuple(values)), steps,
-                               node_cap=node_cap)
-    value, _ = _max_flow_int(xnet.node_count, xnet.arcs, xnet.super_source,
-                             xnet.super_sink)
-    return Fraction(value, xnet.scale)
+    values += [0 if i in subset else -big for i in range(n_src, network.k)]
+    return _expanded_max_flow(network, SupplyVector(tuple(values)), theta,
+                              node_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -267,8 +270,8 @@ class FlowOverTime:
 
 
 def _pieces(volumes, q: int, scale: int):
-    """Rate steps of one arc from its scaled volume per layer.  A layer is
-    1/q wide, so its rate is volume * q / scale."""
+    """Rate steps of one arc from its scaled volume per layer, up to its
+    last departure.  A layer is 1/q wide, so its rate is volume * q / scale."""
     pieces = []
     current = 0
     for layer, flow in enumerate(volumes):
@@ -288,19 +291,14 @@ def extract_transshipment(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     a constant rate over its time slice.  Raises InfeasibleDeadline when the
     deadline is too small.
     """
-    scaled, steps, q = scale_to_integral(network, theta)
-    total = b.total_supply()
-    if total == 0:
-        return FlowOverTime(theta=theta, rates=tuple(() for _ in network.arcs))
-    xnet = build_time_expanded(scaled, b, steps, node_cap=node_cap)
-    value, flows = _max_flow_int(xnet.node_count, xnet.arcs, xnet.super_source,
-                                 xnet.super_sink)
-    shortfall = total - Fraction(value, xnet.scale)
+    value, q, xnet, flows = _expanded_max_flow(network, b, theta, node_cap)
+    shortfall = b.total_supply() - value
     if shortfall:
         raise InfeasibleDeadline(theta, shortfall)
-    per_arc = [[0] * steps for _ in network.arcs]
-    for copy, idx, layer in xnet.moves:
-        per_arc[idx][layer] = flows[copy]
+    # An arc's copies come in layer order, from layer 0 to its last departure.
+    per_arc = [[] for _ in network.arcs]
+    for copy, idx, _ in xnet.moves:
+        per_arc[idx].append(flows[copy])
     return FlowOverTime(theta=theta, rates=tuple(
         _pieces(volumes, q, xnet.scale) for volumes in per_arc))
 

@@ -73,6 +73,21 @@ class TestSolve:
         assert code == 3
         assert json.loads(err)["error"] == "resource-cap"
 
+    def test_default_subset_cap(self, capsys, tmp_path):
+        # one source and 16 sinks: k = 17 is over the default cap of 16
+        doc = {"nodes": 17,
+               "arcs": [{"tail": 0, "head": v, "capacity": 1, "transit": 1}
+                        for v in range(1, 17)],
+               "sources": [{"node": 0, "supply": 16}],
+               "sinks": [{"node": v, "demand": -1} for v in range(1, 17)]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "resource-cap"
+        assert "17 terminals" in doc["message"] and "at 16" in doc["message"]
+
 
 class TestFeas:
     def test_feasible(self, capsys, instance_file):
@@ -139,6 +154,14 @@ class TestExtract:
                            "--theta", "5/2", "--expansion-cap", "3")
         assert code == 3
         assert json.loads(err)["error"] == "resource-cap"
+
+    def test_no_bf_cap(self, capsys, instance_file):
+        # extract enumerates no subsets, so it takes no subset cap
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--input", instance_file, "--theta", "5/2",
+                  "--bf-cap", "3"])
+        assert exc.value.code == 2
+        assert "--bf-cap" in capsys.readouterr().err
 
 
 class TestTrace:

@@ -4,7 +4,7 @@ from collections import deque
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transship import (Arc, ExpansionCapExceeded, FlowNetwork, FlowOverTime,
@@ -13,12 +13,13 @@ from transship import (Arc, ExpansionCapExceeded, FlowNetwork, FlowOverTime,
                        feasible_by_expansion, is_feasible, scale_to_integral,
                        solve_newton_jumps, value_at, value_by_expansion,
                        verify_flow)
+from transship.expansion import _max_flow_int
 from conftest import (instance_b_network, instance_b_supply,
                       single_arc_network, single_arc_supply)
 
 # ---------------------------------------------------------------------------
 # Reference: the flow side on Fractions, as the package ran it before the
-# expansion moved to ints.  Same copy order and the same Dinic, with a
+# expansion moved to ints.  Same copy order, and Dinic's algorithm with a
 # breadth-first search over the whole network, on capacities cleared of
 # their common denominator per max flow.
 
@@ -178,6 +179,40 @@ def outcome(extract, network, b, theta):
         return extract(network, b, theta)
     except InfeasibleDeadline as exc:
         return ("short", exc.shortfall)
+
+
+@st.composite
+def digraphs(draw):
+    """(n, arcs, s, t) with integer capacities, parallel arcs and loops."""
+    n = draw(st.integers(2, 7))
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node, st.integers(0, 9)), max_size=20))
+    s, t = draw(st.permutations(range(n)))[:2]
+    return n, arcs, s, t
+
+
+class TestMaxFlow:
+    @settings(max_examples=300, deadline=None)
+    @given(graph=digraphs())
+    @example(graph=(3, [(0, 1, 5)], 0, 2))                 # sink unreachable
+    @example(graph=(3, [(0, 1, 9), (1, 2, 4)], 0, 2))      # source arc wider than the cut
+    @example(graph=(4, [(0, 1, 9), (1, 2, 4), (1, 3, 7), (3, 0, 2)], 0, 2))
+    def test_value_and_flow(self, graph):
+        n, arcs, s, t = graph
+        value, flow = _max_flow_int(n, arcs, s, t)
+        reference, _ = reference_max_flow(n, [(u, v, F(c)) for u, v, c in arcs], s, t)
+        assert value == reference
+        balance = [0] * n
+        for (u, v, c), f in zip(arcs, flow):
+            assert 0 <= f <= c
+            balance[u] -= f
+            balance[v] += f
+        assert balance[t] == value
+        # A preflow: no node but the source sends more than it receives.
+        assert all(x >= 0 for v, x in enumerate(balance) if v != s)
+        if value == sum(c for u, v, c in arcs if u == s and v != s):
+            # The value saturates the source's arcs: the flow is a flow.
+            assert all(x == 0 for v, x in enumerate(balance) if v not in (s, t))
 
 
 class TestScaling:
@@ -364,6 +399,18 @@ class TestExtraction:
         assert err.value.theta == 4
         assert err.value.shortfall == 1
 
+    def test_rational_seed_18(self, corpus):
+        # 6,504 node copies and many augmenting-path lengths: Dinic needed
+        # 744 phases and 6 s here.
+        entry = corpus[18]
+        network = rational_variant(entry.network, entry.seed)
+        star = solve_newton_jumps(network, entry.b).theta_star
+        _, _, q = scale_to_integral(network, star)
+        assert (star, node_copies(network, star)) == (F(361, 26), 6504)
+        flow = extract_transshipment(network, entry.b, star)
+        assert verify_flow(network, entry.b, flow, star) == []
+        assert not feasible_by_expansion(network, entry.b, star - F(1, q))
+
     def test_corpus_extractions_verify(self, corpus):
         done = 0
         for entry in corpus:
@@ -393,14 +440,20 @@ def node_copies(network, theta):
 
 
 class TestAgainstReference:
-    """The integer flow side gives the reference's flows, shortfalls and
-    values exactly."""
+    """The integer flow side gives the reference's feasibility answers,
+    shortfalls and values exactly.  Max flows are not unique, so where the
+    reference emits a flow, the package's own flow must verify."""
 
     def check(self, network, b, star):
         for theta in (star, star - F(1, 2)):
             if theta >= 0:
-                assert outcome(extract_transshipment, network, b, theta) \
-                    == outcome(reference_extract, network, b, theta), theta
+                got = outcome(extract_transshipment, network, b, theta)
+                expected = outcome(reference_extract, network, b, theta)
+                if isinstance(expected, FlowOverTime):
+                    assert isinstance(got, FlowOverTime), theta
+                    assert verify_flow(network, b, got, theta) == [], theta
+                else:
+                    assert got == expected, theta
         for bits in range(1 << network.k):
             subset = TerminalSet(bits, network.k)
             assert value_by_expansion(network, subset, star) \
