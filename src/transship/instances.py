@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 
 from .core import (MAX_NODES, Arc, FlowNetwork, Rat, SupplyVector,
                    format_rational, parse_rational)

@@ -24,6 +24,14 @@ constants keeps every comparison, so the integer search takes exactly the
 paths a rational one would, and a returned profile holds the same exact
 rational segments.  Ties in the shortest-path search are broken by node id
 so repeated runs produce identical profiles.
+
+The grid also holds the one residual layout every subset's search shares:
+flat edge arrays in which edge ``e`` pairs with its reverse ``e ^ 1``, the
+base arcs first and then one auxiliary arc per terminal, all closed.  A
+subset copies the capacities, opens the auxiliary arcs of its own hookups
+and runs on that copy.  Each Dijkstra search stops as soon as it settles
+the super sink; it returns the same path, and leaves the same potentials,
+as a search run to exhaustion would (see ``_Residual.shortest_path``).
 """
 
 from __future__ import annotations
@@ -50,11 +58,11 @@ def _hookups(network: FlowNetwork, subset: TerminalSet) -> list[tuple[int, int]]
     if subset.width != network.k:
         raise ValueError("subset width %d does not match %d terminals"
                          % (subset.width, network.k))
-    n = network.node_count
+    n, bits = network.node_count, subset.bits
     n_src = len(network.sources)
-    return ([(n, v) for i, v in enumerate(network.sources) if i in subset]
-            + [(v, n + 1) for j, v in enumerate(network.sinks)
-               if n_src + j not in subset])
+    return ([(n, v) for i, v in enumerate(network.sources) if bits >> i & 1]
+            + [(v, n + 1) for j, v in enumerate(network.sinks, n_src)
+               if not bits >> j & 1])
 
 
 @dataclass(frozen=True)
@@ -85,15 +93,29 @@ class FlowProfile:
 
 
 class IntegerGrid:
-    """An instance's arcs scaled to integers.
+    """An instance's arcs scaled to integers, and the residual layout that
+    every subset's search shares.
 
     ``arcs`` holds (tail, head, capacity * rate_scale, transit * time_scale)
     per arc, where time_scale is the lcm of the transit denominators and
     rate_scale that of the capacity denominators.  ``bound`` is
-    ``capacity_bound * rate_scale``, the capacity of auxiliary arcs.
+    ``capacity_bound * rate_scale``, the capacity of an open auxiliary arc.
+
+    The layout has the base arcs first, in index order, then one auxiliary
+    arc per terminal, as ``_hookups`` wires them when S holds every source:
+    super source to each source, then each sink to super sink.  Arc i is
+    edge 2i and its reverse edge 2i + 1, so edge ``e`` pairs with ``e ^ 1``;
+    ``to`` and ``cost`` are indexed by edge, and ``adj`` lists each node's
+    edges in that order.  ``closed`` is the capacity of every edge with the
+    auxiliary arcs closed (capacity 0); a subset copies it and opens the
+    edges of its hookups, found through ``aux``.  A search skips a closed
+    edge as it skips a saturated one, so the open edges keep the relative
+    order a layout of the base arcs and the subset's hookups alone would
+    give them, and ties resolve as they would there.
     """
 
-    __slots__ = ("time_scale", "rate_scale", "arcs", "bound")
+    __slots__ = ("time_scale", "rate_scale", "arcs", "bound",
+                 "to", "cost", "closed", "adj", "aux")
 
     def __init__(self, network: FlowNetwork):
         lt = math.lcm(*(a.transit.denominator for a in network.arcs))
@@ -105,37 +127,50 @@ class IntegerGrid:
              a.transit.numerator * (lt // a.transit.denominator))
             for a in network.arcs)
         self.bound = sum(arc[2] for arc in self.arcs)
+        wiring = _hookups(network, TerminalSet((1 << len(network.sources)) - 1,
+                                               network.k))
+        to, costs, closed = [], [], []
+        adj = [[] for _ in range(network.node_count + 2)]
+        for tail, head, cap, cost in self.arcs + tuple((u, v, 0, 0) for u, v in wiring):
+            adj[tail].append(len(to))
+            adj[head].append(len(to) + 1)
+            to += (head, tail)
+            costs += (cost, -cost)
+            closed += (cap, 0)
+        self.to, self.cost, self.closed = tuple(to), tuple(costs), tuple(closed)
+        self.adj = tuple(map(tuple, adj))
+        m = len(self.arcs)
+        self.aux = {pair: 2 * (m + i) for i, pair in enumerate(wiring)}
 
 
 class _Residual:
-    """Paired-entry residual graph with node potentials, on integers."""
+    """One subset's residual capacities and node potentials on its grid's
+    shared layout."""
 
-    __slots__ = ("n", "adj", "potential")
+    __slots__ = ("grid", "cap", "potential")
 
-    def __init__(self, grid: IntegerGrid, node_count: int, hookups):
-        self.n = node_count + 2
-        self.adj = adj = [[] for _ in range(self.n)]
-        m = len(grid.arcs)
-        aux = tuple((u, v, grid.bound, 0) for u, v in hookups)
-        # entry: [to, cap, cost, rev_index, original_arc_index, direction]
-        for idx, (tail, head, cap, cost) in enumerate(grid.arcs + aux):
-            orig = idx if idx < m else None
-            fwd = [head, cap, cost, len(adj[head]), orig, 1]
-            bwd = [tail, 0, -cost, len(adj[tail]), orig, -1]
-            adj[tail].append(fwd)
-            adj[head].append(bwd)
-        self.potential = [0] * self.n
+    def __init__(self, grid: IntegerGrid, hookups):
+        self.grid = grid
+        self.cap = cap = list(grid.closed)
+        for pair in hookups:
+            cap[grid.aux[pair]] = grid.bound
+        self.potential = [0] * len(grid.adj)
 
     def shortest_path(self, s: int, t: int):
-        """Dijkstra on reduced costs; returns (true length, parent map) or None.
+        """Dijkstra on reduced costs, stopped when ``t`` is settled; returns
+        (true length, parent edge per node) or None.
 
         Equal-distance heap ties resolve by node id, and parents only change
         on strict improvement, so the chosen path is a deterministic function
-        of the residual state.
+        of the residual state.  Stopping at ``t`` changes neither the path
+        nor the potentials: nodes settled before ``t`` hold their final
+        distance, and every other node's final and tentative distance are
+        both at least ``t``'s, so ``min(distance, reach_t)`` is the same.
         """
-        adj, pot = self.adj, self.potential
-        dist = [None] * self.n
-        parent = [None] * self.n
+        grid = self.grid
+        adj, to, cost, cap, pot = grid.adj, grid.to, grid.cost, self.cap, self.potential
+        dist = [None] * len(adj)
+        parent = [None] * len(adj)
         dist[s] = 0
         heap = [(0, s)]
         pop, push = heapq.heappop, heapq.heappush
@@ -143,45 +178,42 @@ class _Residual:
             d, u = pop(heap)
             if d > dist[u]:
                 continue
+            if u == t:
+                break
             base = d + pot[u]
-            for i, entry in enumerate(adj[u]):
-                if entry[1] <= 0:
-                    continue
-                v = entry[0]
-                nd = base + entry[2] - pot[v]
-                old = dist[v]
-                if old is None or nd < old:
-                    dist[v] = nd
-                    parent[v] = (u, i)
-                    push(heap, (nd, v))
-        reach_t = dist[t]
-        if reach_t is None:
+            for e in adj[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    nd = base + cost[e] - pot[v]
+                    old = dist[v]
+                    if old is None or nd < old:
+                        dist[v] = nd
+                        parent[v] = e
+                        push(heap, (nd, v))
+        else:
             return None
-        for v in range(self.n):
-            dv = dist[v]
-            pot[v] += reach_t if dv is None or dv > reach_t else dv
+        reach_t = d
+        self.potential = pot = [p + (reach_t if dv is None or dv > reach_t else dv)
+                                for p, dv in zip(pot, dist)]
         return pot[t] - pot[s], parent
 
     def augment(self, s: int, t: int, parent) -> tuple[int, dict]:
         """Push the bottleneck along the parent path; return (amount, arc uses)."""
-        bottleneck = None
+        to, cap = self.grid.to, self.cap
+        path = []
         v = t
         while v != s:
-            u, i = parent[v]
-            cap = self.adj[u][i][1]
-            if bottleneck is None or cap < bottleneck:
-                bottleneck = cap
-            v = u
+            e = parent[v]
+            path.append(e)
+            v = to[e ^ 1]
+        bottleneck = min(cap[e] for e in path)
+        base_edges = 2 * len(self.grid.arcs)
         uses = {}
-        v = t
-        while v != s:
-            u, i = parent[v]
-            entry = self.adj[u][i]
-            entry[1] -= bottleneck
-            self.adj[entry[0]][entry[3]][1] += bottleneck
-            if entry[4] is not None:
-                uses[entry[4]] = entry[5]
-            v = u
+        for e in path:
+            cap[e] -= bottleneck
+            cap[e ^ 1] += bottleneck
+            if e < base_edges:
+                uses[e >> 1] = -1 if e & 1 else 1
         return bottleneck, uses
 
 
@@ -194,7 +226,7 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet,
     """
     if grid is None:
         grid = IntegerGrid(network)
-    res = _Residual(grid, network.node_count, _hookups(network, subset))
+    res = _Residual(grid, _hookups(network, subset))
     s, t = network.node_count, network.node_count + 1
     segments, lengths, amount_sums, moment_sums = [], [], [0], [0]
     while True:

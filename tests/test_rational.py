@@ -25,9 +25,12 @@ from transship import (Arc, FlowNetwork, ProfileCache, SupplyVector,
 
 # ---------------------------------------------------------------------------
 # Reference: successive shortest paths on Fractions, as the package ran them
-# before profiles moved to integers.  Same residual layout and tie-breaking.
-# The super terminals are wired here from the subset's node ids, not by the
-# kernel, so the comparison also checks the kernel's wiring.
+# before profiles moved to integers: a residual graph built per subset from
+# the base arcs and that subset's hookups only, and every search run to
+# exhaustion.  The kernel shares one layout per instance and stops at the
+# super sink; the tie-breaking must come out the same.  The super terminals
+# are wired here from the subset's node ids, not by the kernel, so the
+# comparison also checks the kernel's wiring.
 
 
 def reference_profile(network, subset):

@@ -1,8 +1,12 @@
 from fractions import Fraction as F
 
-from transship import ProfileCache, TerminalSet, compute_profile
+import pytest
+
+from transship import (ProfileCache, TerminalSet, compute_profile,
+                       generate_instance, parse_instance)
 from transship.ssp import IntegerGrid, _hookups
 from conftest import instance_b_network, single_arc_network
+from test_rational import reference_profile
 
 
 class TestExtendedNetwork:
@@ -26,6 +30,18 @@ class TestExtendedNetwork:
         net = instance_b_network()
         # sink 2 is inside S, so nothing drains and nothing feeds
         assert _hookups(net, TerminalSet.of_nodes(net, [2])) == []
+
+    def test_shared_layout(self):
+        net = instance_b_network()
+        grid = IntegerGrid(net)
+        # arcs 0-1 are the base arcs, 2-3 the source hookups from super
+        # source 3, 4 the sink's drain into super sink 4; arc i is edge 2i,
+        # its reverse 2i + 1, and every auxiliary edge starts closed
+        assert grid.to == (2, 0, 2, 1, 0, 3, 1, 3, 4, 2)
+        assert grid.cost == (0, 0, 1, -1, 0, 0, 0, 0, 0, 0)
+        assert grid.closed == (2, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+        assert grid.adj == ((0, 5), (2, 7), (1, 3, 8), (4, 6), (9,))
+        assert grid.aux == {(3, 0): 4, (3, 1): 6, (2, 4): 8}
 
     def test_original_arcs_preserved(self):
         net = instance_b_network()
@@ -78,6 +94,30 @@ class TestProfiles:
                     assert set(seg.certificate) <= {-1, 0, 1}
                     total = sum(l * t for l, t in zip(seg.certificate, taus))
                     assert total == seg.length
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tie_heavy_profiles_match_reference(seed):
+    """Every subset's profile on an instance full of equal-length paths
+    equals the rational reference, which runs each search to exhaustion on
+    a layout of the base arcs and the subset's own hookups.
+
+    Short transit times and a parallel copy of every third arc make many
+    shortest paths tie, so the path each search picks, and with it the
+    certificates, depends on the heap's tie-break by node id and on the
+    order in which a node's edges are scanned.
+    """
+    k = 6 + seed % 3
+    doc = generate_instance(n=k + 3, m=3 * (k + 3), k=k, max_u=4,
+                            max_tau=1 + seed % 3, max_b=10, seed=seed)
+    doc["arcs"] += doc["arcs"][::3]
+    network, _ = parse_instance(doc)
+    grid = IntegerGrid(network)
+    for bits in range(1 << k):
+        subset = TerminalSet(bits, k)
+        profile = compute_profile(network, subset, grid)
+        assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
+            == reference_profile(network, subset)
 
 
 class TestProfileCache:
