@@ -14,13 +14,21 @@ agree exactly with the profile value for integral data.  Holdover arcs let
 flow wait anywhere; they carry volume, not rate, so their stand-in for an
 unbounded capacity is the total supply rather than any sum of capacities.
 
+Most copies of the full expansion can carry no flow: they lie too early
+for any source to reach, or too late to reach any sink.  Each node keeps
+only the copies in its time window, from its least transit from a supplied
+source to the horizon less its least transit to a demanding sink (see
+``build_time_expanded``).  The max flow is the same; on the perfbench
+``extract`` pool the network is about six times smaller.
+
 The flow side runs on ints: ``build_time_expanded`` scales all capacities
 once, by the lcm of the denominators of the arc capacities and supplies,
 and a highest-label push-relabel max flow runs on those ints, once per
 question.  Fractions appear only in answers: rate pieces, a shortfall, a
 value.  Max flows are not unique; the extracted one is whichever the max
 flow finds, the same on every run.  The node cap bounds node copies and,
-separately, movement copies; both are checked before anything is allocated.
+separately, movement copies of the full expansion, windows aside; both are
+checked before anything is allocated.
 
 ``extract_transshipment`` turns the max-flow back into a piecewise-constant
 rate function per original arc, and ``verify_flow`` re-checks such a flow
@@ -110,6 +118,27 @@ def _check_expandable(network: FlowNetwork, steps: int, node_cap: int):
         raise ExpansionCapExceeded(moves, node_cap, "arc")
 
 
+def _least_transit(n: int, edges, starts, horizon: int) -> list[int]:
+    """Least transit from any node in ``starts`` to each node, along
+    ``(from, to, transit)`` edges; ``horizon`` where that is at least
+    ``horizon`` or the node is unreachable."""
+    out = [[] for _ in range(n)]
+    for u, v, transit in edges:
+        out[u].append((v, transit))
+    dist = [horizon] * n
+    heap = [(0, v) for v in starts]
+    heapify(heap)
+    while heap:
+        d, v = heappop(heap)
+        if d >= dist[v]:
+            continue
+        dist[v] = d
+        for w, transit in out[v]:
+            if d + transit < dist[w]:
+                heappush(heap, (d + transit, w))
+    return dist
+
+
 def build_time_expanded(network: FlowNetwork, b: SupplyVector, steps: int, *,
                         node_cap: int = DEFAULT_NODE_CAP) -> TimeExpandedNetwork:
     """Expand with supply-capped terminal wiring, for feasibility testing.
@@ -119,6 +148,26 @@ def build_time_expanded(network: FlowNetwork, b: SupplyVector, steps: int, *,
     its demand, and the total super-source capacity is the total supply.
     The capacity scale is the lcm of the denominators of the arc capacities
     and the supplies.
+
+    Only copies that can carry flow are built.  Over the arcs with positive
+    capacity, ``early(v)`` is the least transit from a source with positive
+    supply to v, and ``late(v)`` the least transit from v to a sink with
+    positive demand.  Flow reaching copy v@t left a source at layer 0, so
+    t >= early(v); it must still drain at a sink copy by layer steps - 1, so
+    t <= steps - 1 - late(v).  Conversely, waiting makes every copy inside
+    that window reachable from a source and able to reach a sink.  So node
+    v keeps its copies in ``early(v) <= t <= steps - 1 - late(v)``, the
+    movement copy of arc u->w (transit tau) exists for ``early(u) <= t <=
+    steps - 1 - tau - late(w)``, and holdovers, drains and source hookups
+    exist only between kept copies.  The max flow is the same as on the
+    full expansion, which the node cap still counts.
+
+    Layout: node v's copies take contiguous ids in layer order, node 0's
+    first; the collectors, the super source and the super sink follow.
+    Copies are emitted layer by layer, in each layer the movement copies in
+    arc order and then the holdovers in node order; source hookups, drains
+    and collector arcs come last.  Push-relabel's running time depends on
+    this order.
     """
     _check_expandable(network, steps, node_cap)
     n = network.node_count
@@ -126,34 +175,54 @@ def build_time_expanded(network: FlowNetwork, b: SupplyVector, steps: int, *,
     scale = math.lcm(*(a.capacity.denominator for a in network.arcs),
                      *(x.denominator for x in b.values))
     total = int(b.total_supply() * scale)
-    live = []           # (arc, tail, head offset, layers with a copy, capacity)
+    live = [(a.tail, a.head, int(a.transit)) for a in network.arcs
+            if a.capacity > 0]
+    early = _least_transit(n, live, [v for i, v in enumerate(network.sources)
+                                     if b.values[i] > 0], steps)
+    late = _least_transit(n, [(w, u, tau) for u, w, tau in live],
+                          [w for j, w in enumerate(network.sinks)
+                           if b.values[n_src + j] < 0], steps)
+    last = [steps - 1 - x for x in late]
+    offset = []         # id of copy v@t is offset[v] + t
+    kept = 0
+    for v in range(n):
+        offset.append(kept - early[v])
+        kept += max(0, last[v] - early[v] + 1)
+    # Per layer: (arc or None for a holdover, tail, head, capacity), the
+    # copy at that layer running from tail + layer to head + layer.
+    at = [[] for _ in range(steps)]
     for idx, a in enumerate(network.arcs):
         if a.capacity > 0:
             transit = int(a.transit)
-            live.append((idx, a.tail, transit * n + a.head, steps - transit,
-                         int(a.capacity * scale)))
+            copy = (idx, offset[a.tail], offset[a.head] + transit,
+                    int(a.capacity * scale))
+            for layer in range(early[a.tail], last[a.head] - transit + 1):
+                at[layer].append(copy)
+    if total > 0:
+        for v in range(n):
+            hold = (None, offset[v], offset[v] + 1, total)
+            for layer in range(early[v], last[v]):
+                at[layer].append(hold)
     arcs = []
     moves = []
-    for layer in range(steps):
-        base = layer * n
-        for idx, tail, reach, end, cap in live:
-            if layer < end:
+    for layer, copies in enumerate(at):
+        for idx, tail, head, cap in copies:
+            if idx is not None:
                 moves.append((len(arcs), idx, layer))
-                arcs.append((base + tail, base + reach, cap))
-        if layer + 1 < steps and total > 0:
-            arcs.extend((base + v, base + n + v, total) for v in range(n))
-    s = steps * n + len(network.sinks)
+            arcs.append((tail + layer, head + layer, cap))
+    s = kept + len(network.sinks)
     t = s + 1
-    if steps > 0:
-        for i, v in enumerate(network.sources):
-            if b.values[i] > 0:
-                arcs.append((s, v, int(b.values[i] * scale)))
-        for j, w in enumerate(network.sinks):
-            demand = -b.values[n_src + j]
-            if demand > 0:
-                collector = steps * n + j
-                arcs.extend((layer * n + w, collector, total) for layer in range(steps))
-                arcs.append((collector, t, int(demand * scale)))
+    # A supplied source's window, when it has one, starts at layer 0.
+    for i, v in enumerate(network.sources):
+        if b.values[i] > 0 and early[v] <= last[v]:
+            arcs.append((s, offset[v], int(b.values[i] * scale)))
+    for j, w in enumerate(network.sinks):
+        demand = -b.values[n_src + j]
+        if demand > 0 and early[w] <= last[w]:
+            collector = kept + j
+            arcs.extend((offset[w] + layer, collector, total)
+                        for layer in range(early[w], last[w] + 1))
+            arcs.append((collector, t, int(demand * scale)))
     return TimeExpandedNetwork(scale=scale, node_count=t + 1,
                                arcs=tuple(arcs), moves=tuple(moves),
                                super_source=s, super_sink=t)
@@ -269,17 +338,18 @@ class FlowOverTime:
     rates: tuple[tuple[tuple[Rat, Rat], ...], ...]
 
 
-def _pieces(volumes, q: int, scale: int):
-    """Rate steps of one arc from its scaled volume per layer, up to its
-    last departure.  A layer is 1/q wide, so its rate is volume * q / scale."""
+def _pieces(copies, q: int, scale: int):
+    """Rate steps of one arc from ``(layer, scaled volume)`` per movement
+    copy, in layer order over one run of layers.  A layer is 1/q wide, so
+    its rate is volume * q / scale."""
     pieces = []
     current = 0
-    for layer, flow in enumerate(volumes):
+    for layer, flow in copies:
         if flow != current:
             pieces.append((Fraction(layer, q), Fraction(flow * q, scale)))
             current = flow
     if current:
-        pieces.append((Fraction(len(volumes), q), Fraction(0)))
+        pieces.append((Fraction(copies[-1][0] + 1, q), Fraction(0)))
     return tuple(pieces)
 
 
@@ -295,12 +365,12 @@ def extract_transshipment(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     shortfall = b.total_supply() - value
     if shortfall:
         raise InfeasibleDeadline(theta, shortfall)
-    # An arc's copies come in layer order, from layer 0 to its last departure.
+    # An arc's copies come in layer order, over one run of layers.
     per_arc = [[] for _ in network.arcs]
-    for copy, idx, _ in xnet.moves:
-        per_arc[idx].append(flows[copy])
+    for copy, idx, layer in xnet.moves:
+        per_arc[idx].append((layer, flows[copy]))
     return FlowOverTime(theta=theta, rates=tuple(
-        _pieces(volumes, q, xnet.scale) for volumes in per_arc))
+        _pieces(copies, q, xnet.scale) for copies in per_arc))
 
 
 class _Cumulative:
@@ -325,8 +395,9 @@ def verify_flow(network: FlowNetwork, b: SupplyVector, flow: FlowOverTime,
                 theta: Rat) -> list[str]:
     """Re-check a flow over time against the instance, from scratch.
 
-    Checks arc capacities, that no flow arrives after the deadline, prefix
-    conservation (with storage allowed) and zero final storage at
+    Checks arc capacities, that no flow arrives after the deadline, that
+    no node's storage goes negative at any time (a source starts with its
+    supply, every other node with nothing), zero final storage at
     non-terminals, and exact supply/demand balance at terminals.  Returns
     human-readable violations; empty means the flow is valid.
     """
@@ -377,12 +448,7 @@ def verify_flow(network: FlowNetwork, b: SupplyVector, flow: FlowOverTime,
             (cumulative[i].at(t - network.arcs[i].transit) for i in in_arcs),
             Fraction(0))
         departed = lambda t: sum((cumulative[i].at(t) for i in out_arcs), Fraction(0))
-        if v in terminal_values:
-            sent = departed(theta) - arrived(theta)
-            if sent != terminal_values[v]:
-                problems.append("terminal %d ships net %s, expected %s"
-                                % (v, sent, terminal_values[v]))
-            continue
+        held = max(terminal_values.get(v, 0), 0)
         events = {theta}
         for i in in_arcs:
             tau = network.arcs[i].transit
@@ -392,11 +458,17 @@ def verify_flow(network: FlowNetwork, b: SupplyVector, flow: FlowOverTime,
         for t in sorted(events):
             if t > theta:
                 continue
-            stored = arrived(t) - departed(t)
+            stored = held + arrived(t) - departed(t)
             if stored < 0:
                 problems.append("node %d sends flow it has not received by %s"
                                 % (v, t))
                 break
+        if v in terminal_values:
+            sent = departed(theta) - arrived(theta)
+            if sent != terminal_values[v]:
+                problems.append("terminal %d ships net %s, expected %s"
+                                % (v, sent, terminal_values[v]))
+            continue
         leftover = arrived(theta) - departed(theta)
         if leftover != 0:
             problems.append("node %d still stores %s at the deadline" % (v, leftover))

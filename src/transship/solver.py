@@ -85,9 +85,14 @@ def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
     k = network.k
     multipliers = jump_set(k) if jumps and k >= 2 else ()
 
+    # theta_next is prime or the kept probe, both already evaluated.
+    envelopes = {}
+
     def envelope(theta):
-        return minimize_slack(network, b, theta, cache=cache,
-                              subset_cap=subset_cap)
+        if theta not in envelopes:
+            envelopes[theta] = minimize_slack(network, b, theta, cache=cache,
+                                              subset_cap=subset_cap)
+        return envelopes[theta]
 
     theta = Fraction(0)
     trace = []

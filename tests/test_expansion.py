@@ -1,21 +1,26 @@
+import json
 import math
 import random
 from collections import deque
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from transship import (Arc, ExpansionCapExceeded, FlowNetwork, FlowOverTime,
                        InfeasibleDeadline, ProfileCache, SupplyVector,
                        TerminalSet, build_time_expanded, extract_transshipment,
-                       feasible_by_expansion, is_feasible, scale_to_integral,
-                       solve_newton_jumps, value_at, value_by_expansion,
-                       verify_flow)
+                       feasible_by_expansion, is_feasible, parse_instance,
+                       scale_to_integral, solve_newton_jumps, value_at,
+                       value_by_expansion, verify_flow)
 from transship.expansion import _max_flow_int
 from conftest import (instance_b_network, instance_b_supply,
                       single_arc_network, single_arc_supply)
+from test_rational import instances
+
+DATA = Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------------------
 # Reference: the flow side on Fractions, as the package ran it before the
@@ -262,14 +267,15 @@ class TestScaling:
 
 class TestLayering:
     def test_movement_copy_count(self):
-        # transit 2 inside 5 unit steps: departures at 0, 1 and 2 only
+        # transit 2 inside 5 unit steps: departures at 0, 1 and 2 only.
+        # Node 0 keeps layers 0-2 (ids 0-2), node 1 layers 2-4 (ids 3-5).
         net = single_arc_network()
         b = single_arc_supply(net)
         expanded = build_time_expanded(net, b, 5)
         assert [(arc, layer) for _, arc, layer in expanded.moves] == [
             (0, 0), (0, 1), (0, 2)]
         assert [expanded.arcs[copy] for copy, _, _ in expanded.moves] == [
-            (0, 5, 1), (2, 7, 1), (4, 9, 1)]
+            (0, 3, 1), (1, 4, 1), (2, 5, 1)]
 
     def test_zero_transit_gets_one_copy_per_step(self):
         net = FlowNetwork(node_count=2, arcs=(Arc(0, 1, F(1), F(0)),),
@@ -285,18 +291,22 @@ class TestLayering:
         assert expanded.moves == ()
 
     def test_holdover_and_wiring_caps(self):
+        # Flow leaves node 0 by layer 2 and reaches node 1 from layer 2 on,
+        # so each keeps 3 of the 5 layers and 2 holdovers, not 4.
         net = single_arc_network()
         b = single_arc_supply(net)  # total supply 3
         expanded = build_time_expanded(net, b, 5)
-        n, s, t = net.node_count, expanded.super_source, expanded.super_sink
         assert expanded.scale == 1
-        copies = {copy for copy, _, _ in expanded.moves}
-        holds = [a for i, a in enumerate(expanded.arcs)
-                 if i not in copies and max(a[:2]) < 5 * n]
-        assert len(holds) == 4 * n
-        assert all(v == u + n and c == 3 for u, v, c in holds)
-        assert [(u, c) for u, _, c in expanded.arcs if u == s] == [(s, 3)]
-        assert [c for _, v, c in expanded.arcs if v == t] == [3]
+        assert (expanded.node_count, expanded.super_source,
+                expanded.super_sink) == (9, 7, 8)
+        assert expanded.arcs == (
+            (0, 3, 1), (0, 1, 3),                   # layer 0: move, hold
+            (1, 4, 1), (1, 2, 3),                   # layer 1
+            (2, 5, 1), (3, 4, 3),                   # layer 2
+            (4, 5, 3),                              # layer 3
+            (7, 0, 3),                              # source hookup to 0@0
+            (3, 6, 3), (4, 6, 3), (5, 6, 3),        # drains of 1@2..1@4
+            (6, 8, 3))                              # collector to the sink
 
     def test_one_capacity_scale(self):
         # capacities 1/2 and 1/3 after scaling, supply 5/4: scale lcm(2, 3, 4)
@@ -328,6 +338,75 @@ class TestLayering:
             build_time_expanded(net, b, 100, node_cap=1000)
         assert (err.value.needed, err.value.what) == (5000, "arc")
         assert len(build_time_expanded(net, b, 20, node_cap=1000).moves) == 1000
+
+    def test_node_no_supplied_source_reaches(self):
+        # Source 2 holds nothing: no copy of it, none of its arc.
+        net = FlowNetwork(node_count=3,
+                          arcs=(Arc(0, 1, F(1), F(1)), Arc(2, 1, F(1), F(0))),
+                          sources=(0, 2), sinks=(1,))
+        b = SupplyVector.for_network(net, {0: F(2), 2: F(0), 1: F(-2)})
+        expanded = build_time_expanded(net, b, 3)
+        assert expanded.moves == ((0, 0, 0), (2, 0, 1))
+        assert (expanded.node_count, expanded.super_source) == (7, 5)
+        assert expanded.arcs == (
+            (0, 2, 1), (0, 1, 2), (1, 3, 1), (2, 3, 2),
+            (5, 0, 2), (2, 4, 2), (3, 4, 2), (4, 6, 2))
+        assert same_max_flow(net, b, 3)
+
+    def test_node_reaching_no_demanding_sink(self):
+        # Sink 2 demands nothing and node 3 is a dead end: neither gets a
+        # copy, and sink 2's collector gets no arcs.
+        net = FlowNetwork(node_count=4,
+                          arcs=(Arc(0, 1, F(1), F(1)), Arc(0, 2, F(1), F(0)),
+                                Arc(0, 3, F(1), F(0))),
+                          sources=(0,), sinks=(1, 2))
+        b = SupplyVector.for_network(net, {0: F(2), 1: F(-2), 2: F(0)})
+        expanded = build_time_expanded(net, b, 3)
+        assert expanded.moves == ((0, 0, 0), (2, 0, 1))
+        assert (expanded.node_count, expanded.super_source) == (8, 6)
+        assert expanded.arcs == (
+            (0, 2, 1), (0, 1, 2), (1, 3, 1), (2, 3, 2),
+            (6, 0, 2), (2, 4, 2), (3, 4, 2), (4, 7, 2))
+        assert same_max_flow(net, b, 3)
+
+    def test_source_too_far_from_every_sink(self):
+        # Source 1 needs 4 steps to reach the sink and has 3: it gets no
+        # copy and no hookup, and its supply is short.
+        net = FlowNetwork(node_count=3,
+                          arcs=(Arc(0, 2, F(2), F(0)), Arc(1, 2, F(1), F(4))),
+                          sources=(0, 1), sinks=(2,))
+        b = instance_b_supply(net)
+        expanded = build_time_expanded(net, b, 3)
+        s = expanded.super_source
+        assert [a for a in expanded.arcs if a[0] == s] == [(s, 0, 5)]
+        assert {arc for _, arc, _ in expanded.moves} == {0}
+        assert same_max_flow(net, b, 3)
+        expected = outcome(reference_extract, net, b, F(3))
+        assert expected == ("short", 1)
+        assert outcome(extract_transshipment, net, b, F(3)) == expected
+
+    def test_no_steps(self):
+        net = single_arc_network()
+        b = single_arc_supply(net)
+        expanded = build_time_expanded(net, b, 0)
+        assert (expanded.arcs, expanded.moves, expanded.node_count) == ((), (), 3)
+
+    def test_zero_supply(self):
+        net = single_arc_network()
+        b = SupplyVector.for_network(net, {0: F(0), 1: F(0)})
+        expanded = build_time_expanded(net, b, 4)
+        assert (expanded.arcs, expanded.moves, expanded.node_count) == ((), (), 3)
+        assert feasible_by_expansion(net, b, F(4))
+
+
+def same_max_flow(network, b, steps):
+    """True when the expansion's max flow equals the full expansion's."""
+    expanded = build_time_expanded(network, b, steps)
+    value, _ = _max_flow_int(expanded.node_count, expanded.arcs,
+                             expanded.super_source, expanded.super_sink)
+    n, s, t, arcs = reference_expansion(network, b, steps)
+    return F(value, expanded.scale) == reference_max_flow(
+        n, [a[:3] for a in arcs], s, t)[0]
 
 
 class TestFeasibilityOracle:
@@ -365,6 +444,19 @@ class TestValueOracle:
         subset = TerminalSet.of_nodes(net, [0, 1])
         assert value_by_expansion(net, subset, theta) \
             == value_at(cache.profile(subset), theta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance=instances(max_denominator=3))
+    def test_matches_full_expansion_on_rational_data(self, instance):
+        network, b = instance
+        star = solve_newton_jumps(network, b).theta_star
+        _, steps, q = scale_to_integral(network, star)
+        assume((steps + 1) * network.node_count <= 1000)
+        for theta in (star, star - F(1, q)):
+            for bits in range(1 << network.k):
+                subset = TerminalSet(bits, network.k)
+                assert value_by_expansion(network, subset, theta) \
+                    == reference_value(network, subset, theta), (theta, bits)
 
     def test_single_source_subsets(self):
         net = instance_b_network()
@@ -410,6 +502,19 @@ class TestExtraction:
         flow = extract_transshipment(network, entry.b, star)
         assert verify_flow(network, entry.b, flow, star) == []
         assert not feasible_by_expansion(network, entry.b, star - F(1, q))
+
+    def test_long_holdover_chain(self):
+        # 4 nodes, 19,311 layers, 77,248 node copies (72,898 can carry
+        # flow).  With copies numbered layer by layer, excess sloshed along
+        # one holdover chain for over 40 s; numbered node by node, the max
+        # flow takes about 1 s.
+        doc = json.loads((DATA / "long_holdover_chain.json").read_text())
+        network, b = parse_instance(doc)
+        star = F(6437, 1740)
+        assert solve_newton_jumps(network, b).theta_star == star
+        assert node_copies(network, star) == 77248
+        flow = extract_transshipment(network, b, star)
+        assert verify_flow(network, b, flow, star) == []
 
     def test_corpus_extractions_verify(self, corpus):
         done = 0
@@ -519,6 +624,19 @@ class TestVerifier:
                                    ((F(0), F(1)), (F(1), F(0)))))
         problems = verify_flow(net, b, flow, F(3))
         assert problems
+
+    def test_rejects_terminal_sending_before_arrival(self):
+        # Sink 1 sends on at time 0 what first reaches it at time 1; its
+        # net balance and every other node's storage are right.
+        net = FlowNetwork(node_count=3,
+                          arcs=(Arc(0, 1, F(1), F(1)), Arc(1, 2, F(1), F(0)),
+                                Arc(2, 1, F(1), F(1))),
+                          sources=(0,), sinks=(1,))
+        b = SupplyVector.for_network(net, {0: F(1), 1: F(-1)})
+        once = ((F(0), F(1)), (F(1), F(0)))
+        flow = FlowOverTime(theta=F(2), rates=(once, once, once))
+        assert verify_flow(net, b, flow, F(2)) == [
+            "node 1 sends flow it has not received by 1"]
 
     def test_rejects_unordered_pieces(self, single_arc):
         net, b = single_arc
