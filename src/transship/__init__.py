@@ -10,9 +10,9 @@ are reproducible bit for bit.
 from .core import (MAX_NODES, MAX_TERMINALS, Arc, FlowNetwork, Rat,
                    SupplyVector, TerminalSet, format_rational, net_supply,
                    parse_rational, validate_instance)
-from .errors import (ExpansionCapExceeded, InfeasibleDeadline,
-                     InfeasibleForever, InstanceFormatError, InvariantViolation,
-                     NodeCapExceeded, SubsetCapExceeded, TransshipError)
+from .errors import (InfeasibleDeadline, InfeasibleForever,
+                     InstanceFormatError, InvariantViolation,
+                     ResourceCapExceeded, TransshipError)
 from .expansion import (FlowOverTime, TimeExpandedNetwork,
                         build_time_expanded, extract_transshipment,
                         feasible_by_expansion, scale_to_integral,
@@ -27,12 +27,11 @@ from .solver import (IterationRecord, SolveResult, classify_iterations,
 from .ssp import FlowProfile, ProfileCache, Segment, compute_profile
 
 __all__ = [
-    "Arc", "ExpansionCapExceeded", "FlowNetwork", "FlowOverTime",
-    "FlowProfile", "InfeasibleDeadline", "InfeasibleForever",
-    "InstanceFormatError", "InvariantViolation", "IterationRecord",
-    "MAX_NODES", "MAX_TERMINALS", "NodeCapExceeded", "ProfileCache", "Rat",
-    "Segment", "SlackMinimum", "SolveResult", "SubsetCapExceeded",
-    "SupplyVector", "TerminalSet", "TimeExpandedNetwork", "TransshipError",
+    "Arc", "FlowNetwork", "FlowOverTime", "FlowProfile",
+    "InfeasibleDeadline", "InfeasibleForever", "InstanceFormatError",
+    "InvariantViolation", "IterationRecord", "MAX_NODES", "MAX_TERMINALS",
+    "ProfileCache", "Rat", "ResourceCapExceeded", "Segment", "SlackMinimum",
+    "SolveResult", "SupplyVector", "TerminalSet", "TimeExpandedNetwork", "TransshipError",
     "breakpoints", "build_time_expanded", "classify_iterations",
     "compute_profile", "crossing_time", "dump_document",
     "extract_transshipment", "feasible_by_expansion", "format_rational",

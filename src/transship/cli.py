@@ -23,16 +23,16 @@ import sys
 
 from .bench import run_bench, write_envelope_csv, write_rows_csv
 from .core import format_rational, parse_rational, validate_instance
-from .errors import (ExpansionCapExceeded, InfeasibleDeadline,
-                     InfeasibleForever, InstanceFormatError, InvariantViolation,
-                     NodeCapExceeded, SubsetCapExceeded)
+from .errors import (InfeasibleDeadline, InfeasibleForever,
+                     InstanceFormatError, InvariantViolation,
+                     ResourceCapExceeded)
 from .expansion import DEFAULT_NODE_CAP, extract_transshipment
 from .instances import (dump_document, generate_instance, parse_instance,
                         reject_duplicate_keys)
-from .sfm import DEFAULT_SUBSET_CAP, minimize_slack
+from .sfm import minimize_slack
 from .solver import (classify_iterations, solve_newton_jumps,
                      solve_newton_simple, theta_star_bruteforce)
-from .ssp import ProfileCache
+from .ssp import DEFAULT_SUBSET_CAP, ProfileCache
 
 
 def _load_instance(path: str):
@@ -80,14 +80,12 @@ def _emit(args, payload: dict, text: str):
 
 def cmd_solve(args) -> int:
     network, b = _load_instance(args.input)
-    cache = ProfileCache(network)
+    cache = ProfileCache(network, subset_cap=args.bf_cap)
     results = {}
     if args.algo in ("simple", "both"):
-        results["simple"] = solve_newton_simple(network, b, cache=cache,
-                                                subset_cap=args.bf_cap)
+        results["simple"] = solve_newton_simple(network, b, cache=cache)
     if args.algo in ("jumps", "both"):
-        results["jumps"] = solve_newton_jumps(network, b, cache=cache,
-                                              subset_cap=args.bf_cap)
+        results["jumps"] = solve_newton_jumps(network, b, cache=cache)
     stars = {r.theta_star for r in results.values()}
     if len(stars) != 1:
         raise InvariantViolation("solver variants disagree: %s" % ", ".join(
@@ -105,7 +103,8 @@ def cmd_solve(args) -> int:
 def cmd_feas(args) -> int:
     network, b = _load_instance(args.input)
     theta = _theta(args)
-    minimum = minimize_slack(network, b, theta, subset_cap=args.bf_cap)
+    minimum = minimize_slack(network, b, theta,
+                             cache=ProfileCache(network, subset_cap=args.bf_cap))
     if minimum.value >= 0:
         _emit(args, {"theta": format_rational(theta), "feasible": True},
               "feasible at %s" % theta)
@@ -122,7 +121,8 @@ def cmd_feas(args) -> int:
 
 def cmd_oracle(args) -> int:
     network, b = _load_instance(args.input)
-    star = theta_star_bruteforce(network, b, subset_cap=args.bf_cap)
+    star = theta_star_bruteforce(
+        network, b, cache=ProfileCache(network, subset_cap=args.bf_cap))
     _emit(args, {"theta_star": format_rational(star), "method": "bruteforce"},
           "theta_star = %s  (brute force over %d subsets)" % (star, 1 << network.k))
     return 0
@@ -146,11 +146,10 @@ def cmd_extract(args) -> int:
 
 def cmd_trace(args) -> int:
     network, b = _load_instance(args.input)
-    cache = ProfileCache(network)
+    cache = ProfileCache(network, subset_cap=args.bf_cap)
     solve = solve_newton_jumps if args.algo != "simple" else solve_newton_simple
-    result = solve(network, b, cache=cache, subset_cap=args.bf_cap)
-    labels = classify_iterations(result, network, cache=cache,
-                                 subset_cap=args.bf_cap)
+    result = solve(network, b, cache=cache)
+    labels = classify_iterations(result, network, cache=cache)
     if args.json:
         payload = {"algorithm": result.algorithm,
                    "theta_star": format_rational(result.theta_star),
@@ -273,7 +272,7 @@ def main(argv=None) -> int:
         return _fail("infeasible-forever", exc, 1)
     except InfeasibleDeadline as exc:
         return _fail("infeasible-deadline", exc, 1)
-    except (NodeCapExceeded, SubsetCapExceeded, ExpansionCapExceeded) as exc:
+    except ResourceCapExceeded as exc:
         return _fail("resource-cap", exc, 3)
     except InvariantViolation as exc:
         return _fail("internal", exc, 4)

@@ -2,7 +2,8 @@
 
 Every error that can escape the library API derives from TransshipError so
 callers (and the CLI) can map failures to outcomes without matching on
-message strings.
+message strings.  Every cap (terminals for subset enumeration, instance
+nodes, time-expansion copies) fails with the one ResourceCapExceeded.
 """
 
 
@@ -55,36 +56,23 @@ class InvariantViolation(TransshipError):
     """
 
 
-class SubsetCapExceeded(TransshipError):
-    """Too many terminals for brute-force subset enumeration."""
+class ResourceCapExceeded(TransshipError):
+    """An input, or what would be built from it, is over a cap.
 
-    def __init__(self, k, cap):
-        self.k = k
-        self.cap = cap
-        super().__init__(
-            "instance has %d terminals; brute-force subset enumeration is capped "
-            "at %d (raise the cap, --bf-cap on the command line)" % (k, cap)
-        )
+    ``needed`` is the count, ``what`` the thing counted and ``cap`` the
+    limit: "terminals" for subset enumeration (a ``ProfileCache``'s subset
+    cap, 2^k subsets), "nodes" for ``MAX_NODES``, and "node copies" or "arc
+    copies" for a time expansion's node cap.
+    """
 
-
-class NodeCapExceeded(TransshipError):
-    """An instance declares more nodes than the package accepts."""
-
-    def __init__(self, nodes, cap):
-        self.nodes = nodes
-        self.cap = cap
-        super().__init__("instance declares %d nodes, over the cap of %d"
-                         % (nodes, cap))
-
-
-class ExpansionCapExceeded(TransshipError):
-    """A time expansion would exceed its budget of node or arc copies."""
+    _FLAGS = {"terminals": "--bf-cap", "node copies": "--expansion-cap",
+              "arc copies": "--expansion-cap"}
 
     def __init__(self, needed, cap, what):
-        self.needed = needed
-        self.cap = cap
-        self.what = what
+        self.needed, self.cap, self.what = needed, cap, what
+        flag = self._FLAGS.get(what)
         super().__init__(
-            "time expansion needs %d %s copies, over the cap of %d"
-            % (needed, what, cap)
+            "%d %s exceed the cap at %d%s"
+            % (needed, what, cap,
+               "" if flag is None else " (raise the cap, %s on the command line)" % flag)
         )

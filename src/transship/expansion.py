@@ -45,7 +45,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .core import Arc, FlowNetwork, Rat, SupplyVector, TerminalSet
-from .errors import ExpansionCapExceeded, InfeasibleDeadline
+from .errors import InfeasibleDeadline, ResourceCapExceeded
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -110,12 +110,12 @@ def _check_expandable(network: FlowNetwork, steps: int, node_cap: int):
         raise ValueError("negative number of steps")
     nodes = (steps + 1) * network.node_count
     if nodes > node_cap:
-        raise ExpansionCapExceeded(nodes, node_cap, "node")
+        raise ResourceCapExceeded(nodes, node_cap, "node copies")
     # With parallel arcs, movement copies can outnumber node copies by any factor.
     moves = sum(max(0, steps - int(a.transit)) for a in network.arcs
                 if a.capacity > 0)
     if moves > node_cap:
-        raise ExpansionCapExceeded(moves, node_cap, "arc")
+        raise ResourceCapExceeded(moves, node_cap, "arc copies")
 
 
 def _least_transit(n: int, edges, starts, horizon: int) -> list[int]:

@@ -86,6 +86,6 @@ def breakpoints(profile: FlowProfile) -> tuple[Rat, ...]:
 def all_breakpoints(cache: ProfileCache) -> set[Rat]:
     """Breakpoints of every terminal subset's value function, pooled."""
     bends = set()
-    for bits in range(1 << cache.network.k):
+    for bits in cache.subsets():
         bends.update(breakpoints(cache.profile(bits)))
     return bends

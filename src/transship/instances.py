@@ -24,7 +24,7 @@ import random
 
 from .core import (MAX_NODES, Arc, FlowNetwork, Rat, SupplyVector,
                    format_rational, parse_rational)
-from .errors import InstanceFormatError, NodeCapExceeded
+from .errors import InstanceFormatError, ResourceCapExceeded
 
 __all__ = [
     "parse_instance",
@@ -85,7 +85,7 @@ def parse_instance(doc) -> tuple[FlowNetwork, SupplyVector]:
     _known_fields(doc, ("nodes", "arcs", "sources", "sinks"), "")
     n = _as_int(_field(doc, "nodes", ""), "nodes")
     if n > MAX_NODES:
-        raise NodeCapExceeded(n, MAX_NODES)
+        raise ResourceCapExceeded(n, MAX_NODES, "nodes")
     arcs = []
     raw_arcs = _field(doc, "arcs", "")
     if not isinstance(raw_arcs, list):

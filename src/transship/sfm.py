@@ -8,9 +8,9 @@ submodular function of the subset, so its minimizers are closed under union
 and intersection; we always report the unique minimal minimizer (the
 intersection of all of them) to keep results canonical.
 
-The minimizer enumerates all subsets, which is exact and fine for the
-terminal counts this package targets; the default cap of 16 terminals (one
-16-terminal solve took 30 s and 350 MB) guards against blowups.
+The minimizer enumerates all subsets (``ProfileCache.subsets``), which is
+exact and fine for the terminal counts this package targets; the cache's
+subset cap guards against blowups.
 """
 
 from __future__ import annotations
@@ -20,19 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FlowNetwork, Rat, SupplyVector, TerminalSet, net_supply
-from .errors import InvariantViolation, SubsetCapExceeded
+from .errors import InvariantViolation
 from .horizon import value_at
-from .ssp import ProfileCache
+from .ssp import ProfileCache, cache_for
 
 __all__ = [
-    "DEFAULT_SUBSET_CAP",
     "SlackMinimum",
     "minimize_slack",
     "min_slack",
     "is_feasible",
 ]
-
-DEFAULT_SUBSET_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -44,8 +41,7 @@ class SlackMinimum:
 
 
 def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
-                   cache: ProfileCache | None = None,
-                   subset_cap: int = DEFAULT_SUBSET_CAP) -> SlackMinimum:
+                   cache: ProfileCache | None = None) -> SlackMinimum:
     """Find the minimal subset attaining the minimum slack at ``theta``.
 
     Slacks are compared as integers over one shared denominator: with
@@ -53,11 +49,7 @@ def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     on the cache's grid, up to the last segment no longer than ``theta``.
     Only the minimum becomes a rational again.
     """
-    k = network.k
-    if k > subset_cap:
-        raise SubsetCapExceeded(k, subset_cap)
-    if cache is None:
-        cache = ProfileCache(network)
+    cache = cache_for(network, cache)
     grid = cache.grid
     supply_scale, need = cache.need_table(b)
     q = theta.denominator
@@ -66,7 +58,7 @@ def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     gain, cost = supply_scale * scaled, supply_scale * q
     best = None
     best_and = 0
-    for bits in range(1 << k):
+    for bits in cache.subsets():
         prof = cache.profile(bits)
         j = bisect.bisect_right(prof.lengths, cut)
         slack = (gain * prof.amount_sums[j] - cost * prof.moment_sums[j]
@@ -77,7 +69,7 @@ def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
         elif slack == best:
             best_and &= bits
     value = Fraction(best, q * grid.rate_scale * grid.time_scale * supply_scale)
-    subset = TerminalSet(best_and, k)
+    subset = TerminalSet(best_and, network.k)
     # Minimizers of a submodular function form a lattice, so the
     # intersection of all of them is itself a minimizer.  Recomputing its
     # slack in rationals also checks the integer arithmetic above.

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FlowNetwork, Rat, SupplyVector, TerminalSet, net_supply
-from .errors import InvariantViolation, SubsetCapExceeded
+from .errors import InvariantViolation
 from .horizon import all_breakpoints, crossing_time, slope_left
-from .sfm import DEFAULT_SUBSET_CAP, minimize_slack
-from .ssp import ProfileCache
+from .sfm import minimize_slack
+from .ssp import ProfileCache, cache_for
 
 __all__ = [
     "jump_set",
@@ -79,9 +79,8 @@ class SolveResult:
 
 
 def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
-           cache: ProfileCache | None, subset_cap: int) -> SolveResult:
-    if cache is None:
-        cache = ProfileCache(network)
+           cache: ProfileCache | None) -> SolveResult:
+    cache = cache_for(network, cache)
     k = network.k
     multipliers = jump_set(k) if jumps and k >= 2 else ()
 
@@ -90,8 +89,7 @@ def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
 
     def envelope(theta):
         if theta not in envelopes:
-            envelopes[theta] = minimize_slack(network, b, theta, cache=cache,
-                                              subset_cap=subset_cap)
+            envelopes[theta] = minimize_slack(network, b, theta, cache=cache)
         return envelopes[theta]
 
     theta = Fraction(0)
@@ -152,22 +150,19 @@ def _largest_negative_probe(still_violated, multipliers) -> int:
 
 
 def solve_newton_simple(network: FlowNetwork, b: SupplyVector, *,
-                        cache: ProfileCache | None = None,
-                        subset_cap: int = DEFAULT_SUBSET_CAP) -> SolveResult:
+                        cache: ProfileCache | None = None) -> SolveResult:
     """Plain discrete Newton: always advance to the chosen subset's crossing."""
-    return _solve(network, b, jumps=False, cache=cache, subset_cap=subset_cap)
+    return _solve(network, b, jumps=False, cache=cache)
 
 
 def solve_newton_jumps(network: FlowNetwork, b: SupplyVector, *,
-                       cache: ProfileCache | None = None,
-                       subset_cap: int = DEFAULT_SUBSET_CAP) -> SolveResult:
+                       cache: ProfileCache | None = None) -> SolveResult:
     """Accelerated discrete Newton with geometric jump probes."""
-    return _solve(network, b, jumps=True, cache=cache, subset_cap=subset_cap)
+    return _solve(network, b, jumps=True, cache=cache)
 
 
 def theta_star_bruteforce(network: FlowNetwork, b: SupplyVector, *,
-                          cache: ProfileCache | None = None,
-                          subset_cap: int = DEFAULT_SUBSET_CAP) -> Rat:
+                          cache: ProfileCache | None = None) -> Rat:
     """Reference answer: the latest crossing time over all terminal subsets.
 
     Each subset's slack is nondecreasing in the deadline, so the first
@@ -175,13 +170,10 @@ def theta_star_bruteforce(network: FlowNetwork, b: SupplyVector, *,
     per-subset crossings.  Exponential, but independent of the Newton
     machinery, which makes it a trustworthy oracle.
     """
+    cache = cache_for(network, cache)
     k = network.k
-    if k > subset_cap:
-        raise SubsetCapExceeded(k, subset_cap)
-    if cache is None:
-        cache = ProfileCache(network)
     best = Fraction(0)
-    for bits in range(1 << k):
+    for bits in cache.subsets():
         subset = TerminalSet(bits, k)
         need = net_supply(b, subset)
         if need <= 0:
@@ -194,15 +186,10 @@ def theta_star_bruteforce(network: FlowNetwork, b: SupplyVector, *,
 
 
 def classify_iterations(result: SolveResult, network: FlowNetwork, *,
-                        cache: ProfileCache | None = None,
-                        subset_cap: int = DEFAULT_SUBSET_CAP) -> tuple[str, ...]:
+                        cache: ProfileCache | None = None) -> tuple[str, ...]:
     """Label each iteration I1 (largest multiplier), I2 (step spans a
     breakpoint of some subset's value function), or I3 (neither)."""
-    if network.k > subset_cap:
-        raise SubsetCapExceeded(network.k, subset_cap)
-    if cache is None:
-        cache = ProfileCache(network)
-    bends = sorted(all_breakpoints(cache))
+    bends = sorted(all_breakpoints(cache_for(network, cache)))
     top = 0
     if result.algorithm == "jumps" and result.k >= 2:
         top = jump_set(result.k)[-1]

@@ -32,6 +32,11 @@ subset copies the capacities, opens the auxiliary arcs of its own hookups
 and runs on that copy.  Each Dijkstra search stops as soon as it settles
 the super sink; it returns the same path, and leaves the same potentials,
 as a search run to exhaustion would (see ``_Residual.shortest_path``).
+
+A ``ProfileCache`` holds the subset cap, 16 terminals by default (one
+16-terminal solve took 30 s and 350 MB).  Whatever enumerates all 2^k
+subsets does so through ``ProfileCache.subsets``, which checks the cap;
+single profiles stay uncapped.
 """
 
 from __future__ import annotations
@@ -42,14 +47,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FlowNetwork, Rat, SupplyVector, TerminalSet
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ResourceCapExceeded
 
 __all__ = [
+    "DEFAULT_SUBSET_CAP",
     "Segment",
     "FlowProfile",
     "compute_profile",
     "ProfileCache",
+    "cache_for",
 ]
+
+DEFAULT_SUBSET_CAP = 16
 
 
 def _hookups(network: FlowNetwork, subset: TerminalSet) -> list[tuple[int, int]]:
@@ -266,13 +275,24 @@ class ProfileCache:
 
     The instance is scaled to integers once, here (``grid``), and every
     profile is computed on that grid.  Keys are the subset bit patterns.
+    ``subsets`` enumerates them all, up to ``subset_cap`` terminals.
     """
 
-    def __init__(self, network: FlowNetwork):
+    def __init__(self, network: FlowNetwork, *,
+                 subset_cap: int = DEFAULT_SUBSET_CAP):
         self.network = network
+        self.subset_cap = subset_cap
         self.grid = IntegerGrid(network)
         self._profiles: dict[int, FlowProfile] = {}
         self._needs: dict[SupplyVector, tuple[int, list[int]]] = {}
+
+    def subsets(self) -> range:
+        """Every terminal bit set, 0 to 2^k - 1; raises ResourceCapExceeded
+        when k is over the subset cap."""
+        k = self.network.k
+        if k > self.subset_cap:
+            raise ResourceCapExceeded(k, self.subset_cap, "terminals")
+        return range(1 << k)
 
     def profile(self, subset: TerminalSet | int) -> FlowProfile:
         bits = subset.bits if isinstance(subset, TerminalSet) else subset
@@ -295,8 +315,9 @@ class ProfileCache:
             den = math.lcm(*(x.denominator for x in b.values))
             unit = den * self.grid.rate_scale * self.grid.time_scale
             values = [x.numerator * (unit // x.denominator) for x in b.values]
-            table = [0] * (1 << self.network.k)
-            for bits in range(1, len(table)):
+            subsets = self.subsets()
+            table = [0] * len(subsets)
+            for bits in subsets[1:]:
                 low = bits & -bits
                 table[bits] = table[bits ^ low] + values[low.bit_length() - 1]
             hit = self._needs[b] = (den, table)
@@ -304,3 +325,12 @@ class ProfileCache:
 
     def __len__(self) -> int:
         return len(self._profiles)
+
+
+def cache_for(network: FlowNetwork, cache: ProfileCache | None) -> ProfileCache:
+    """``cache`` if it was built for ``network``, a fresh cache if it is None."""
+    if cache is None:
+        return ProfileCache(network)
+    if cache.network is not network and cache.network != network:
+        raise ValueError("profile cache was built for another network")
+    return cache

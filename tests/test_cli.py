@@ -73,6 +73,14 @@ class TestSolve:
         assert code == 3
         assert json.loads(err)["error"] == "resource-cap"
 
+    @pytest.mark.parametrize("argv", [("feas", "--theta", "1"), ("oracle",),
+                                      ("trace",)])
+    def test_subset_cap_other_commands(self, capsys, instance_file, argv):
+        code, out, err = run(capsys, argv[0], "--input", instance_file,
+                             "--bf-cap", "2", *argv[1:])
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "resource-cap"
+
     def test_default_subset_cap(self, capsys, tmp_path):
         # one source and 16 sinks: k = 17 is over the default cap of 16
         doc = {"nodes": 17,

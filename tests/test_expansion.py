@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from transship import (Arc, ExpansionCapExceeded, FlowNetwork, FlowOverTime,
-                       InfeasibleDeadline, ProfileCache, SupplyVector,
+from transship import (Arc, FlowNetwork, FlowOverTime, InfeasibleDeadline,
+                       ProfileCache, ResourceCapExceeded, SupplyVector,
                        TerminalSet, build_time_expanded, extract_transshipment,
                        feasible_by_expansion, is_feasible, parse_instance,
                        scale_to_integral, solve_newton_jumps, value_at,
@@ -324,7 +324,7 @@ class TestLayering:
     def test_node_cap_enforced(self):
         net = single_arc_network()
         b = single_arc_supply(net)
-        with pytest.raises(ExpansionCapExceeded):
+        with pytest.raises(ResourceCapExceeded):
             build_time_expanded(net, b, 10 ** 7)
 
     def test_arc_copies_count_against_the_cap(self):
@@ -334,9 +334,9 @@ class TestLayering:
                           arcs=tuple(Arc(0, 1, F(1), F(0)) for _ in range(50)),
                           sources=(0,), sinks=(1,))
         b = SupplyVector.for_network(net, {0: F(1), 1: F(-1)})
-        with pytest.raises(ExpansionCapExceeded) as err:
+        with pytest.raises(ResourceCapExceeded) as err:
             build_time_expanded(net, b, 100, node_cap=1000)
-        assert (err.value.needed, err.value.what) == (5000, "arc")
+        assert (err.value.needed, err.value.what) == (5000, "arc copies")
         assert len(build_time_expanded(net, b, 20, node_cap=1000).moves) == 1000
 
     def test_node_no_supplied_source_reaches(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transship import (MAX_NODES, InstanceFormatError, NodeCapExceeded,
+from transship import (MAX_NODES, InstanceFormatError, ResourceCapExceeded,
                        dump_document, generate_instance, parse_instance,
                        serialize_instance, sources_reach_sinks,
                        validate_instance)
@@ -80,9 +80,9 @@ class TestParsing:
 
     def test_node_count_capped(self):
         doc = {"nodes": 10 ** 9, "arcs": [], "sources": [], "sinks": []}
-        with pytest.raises(NodeCapExceeded) as err:
+        with pytest.raises(ResourceCapExceeded) as err:
             parse_instance(doc)
-        assert (err.value.nodes, err.value.cap) == (10 ** 9, MAX_NODES)
+        assert (err.value.needed, err.value.cap) == (10 ** 9, MAX_NODES)
         doc["nodes"] = MAX_NODES
         assert parse_instance(doc)[0].node_count == MAX_NODES
 

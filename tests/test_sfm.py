@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from transship import (ProfileCache, SubsetCapExceeded, TerminalSet,
+from transship import (ProfileCache, ResourceCapExceeded, TerminalSet,
                        is_feasible, min_slack, minimize_slack)
 
 
@@ -72,12 +72,12 @@ class TestBruteForceMinimizer:
 class TestCapAndStrategy:
     def test_cap_exceeded(self, instance_b):
         net, b = instance_b
-        with pytest.raises(SubsetCapExceeded):
-            minimize_slack(net, b, F(1), subset_cap=2)
+        with pytest.raises(ResourceCapExceeded):
+            minimize_slack(net, b, F(1), cache=ProfileCache(net, subset_cap=2))
 
     def test_cap_error_reports_sizes(self, instance_b):
         net, b = instance_b
-        with pytest.raises(SubsetCapExceeded) as err:
-            minimize_slack(net, b, F(1), subset_cap=2)
-        assert err.value.k == 3
+        with pytest.raises(ResourceCapExceeded) as err:
+            minimize_slack(net, b, F(1), cache=ProfileCache(net, subset_cap=2))
+        assert (err.value.needed, err.value.what) == (3, "terminals")
         assert err.value.cap == 2

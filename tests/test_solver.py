@@ -3,10 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from transship import (InfeasibleForever, SubsetCapExceeded, SupplyVector,
-                       TerminalSet, classify_iterations, halving_violations,
-                       jump_set, solve_newton_jumps, solve_newton_simple,
-                       theta_star_bruteforce)
+from transship import (InfeasibleForever, ProfileCache, ResourceCapExceeded,
+                       SupplyVector, TerminalSet, classify_iterations,
+                       halving_violations, jump_set, solve_newton_jumps,
+                       solve_newton_simple, theta_star_bruteforce)
 from transship import solver
 from conftest import (instance_b_network, instance_b_supply,
                       single_arc_network, single_arc_supply)
@@ -177,8 +177,9 @@ class TestClassification:
     def test_cap_guard(self, instance_b):
         net, b = instance_b
         result = solve_newton_jumps(net, b)
-        with pytest.raises(SubsetCapExceeded):
-            classify_iterations(result, net, subset_cap=2)
+        with pytest.raises(ResourceCapExceeded):
+            classify_iterations(result, net,
+                                cache=ProfileCache(net, subset_cap=2))
 
 
 class TestHalving:

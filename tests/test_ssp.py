@@ -2,10 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from transship import (ProfileCache, TerminalSet, compute_profile,
-                       generate_instance, parse_instance)
+from transship import (ProfileCache, ResourceCapExceeded, TerminalSet,
+                       classify_iterations, compute_profile, generate_instance,
+                       minimize_slack, parse_instance, solve_newton_jumps,
+                       solve_newton_simple, theta_star_bruteforce)
+from transship.bench import corpus_instance
+from transship.horizon import all_breakpoints
 from transship.ssp import IntegerGrid, _hookups
-from conftest import instance_b_network, single_arc_network
+from conftest import instance_b_network, instance_b_supply, single_arc_network
 from test_rational import reference_profile
 
 
@@ -138,3 +142,37 @@ class TestProfileCache:
             pa, pb = a.profile(bits), b.profile(bits)
             assert [(s.length, s.amount, s.certificate) for s in pa.segments] \
                 == [(s.length, s.amount, s.certificate) for s in pb.segments]
+
+    def test_subset_cap_refuses_every_enumeration(self):
+        # instance B has k = 3 terminals, over a cap of 2
+        net = instance_b_network()
+        b = instance_b_supply(net)
+        result = solve_newton_jumps(net, b)
+        cache = ProfileCache(net, subset_cap=2)
+        for enumerate_all in (
+                lambda: minimize_slack(net, b, F(1), cache=cache),
+                lambda: theta_star_bruteforce(net, b, cache=cache),
+                lambda: classify_iterations(result, net, cache=cache),
+                lambda: all_breakpoints(cache)):
+            with pytest.raises(ResourceCapExceeded) as err:
+                enumerate_all()
+            assert (err.value.needed, err.value.cap) == (3, 2)
+        # single profiles stay uncapped
+        assert cache.profile(0b011).segments == ProfileCache(net).profile(0b011).segments
+
+    @pytest.mark.parametrize("other_seed", [3, 1])
+    def test_cache_of_another_network_refused(self, other_seed):
+        # corpus seeds 0 and 3 both have k = 2; seed 1 has k = 4
+        net, b = corpus_instance(0)
+        other = ProfileCache(corpus_instance(other_seed)[0])
+        result = solve_newton_jumps(net, b)
+        for call in (lambda: minimize_slack(net, b, F(1), cache=other),
+                     lambda: solve_newton_simple(net, b, cache=other),
+                     lambda: solve_newton_jumps(net, b, cache=other),
+                     lambda: theta_star_bruteforce(net, b, cache=other),
+                     lambda: classify_iterations(result, net, cache=other)):
+            with pytest.raises(ValueError, match="another network"):
+                call()
+        # an equal network built separately shares the cache
+        twin = ProfileCache(corpus_instance(0)[0])
+        assert solve_newton_jumps(net, b, cache=twin).theta_star == F(69, 2)
