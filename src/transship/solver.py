@@ -185,14 +185,17 @@ def theta_star_bruteforce(network: FlowNetwork, b: SupplyVector, *,
     return best
 
 
+def _top_multiplier(result: SolveResult) -> int:
+    """The largest jump multiplier a trace can use, 0 if it uses none."""
+    return jump_set(result.k)[-1] if result.algorithm == "jumps" and result.k >= 2 else 0
+
+
 def classify_iterations(result: SolveResult, network: FlowNetwork, *,
                         cache: ProfileCache | None = None) -> tuple[str, ...]:
     """Label each iteration I1 (largest multiplier), I2 (step spans a
     breakpoint of some subset's value function), or I3 (neither)."""
     bends = sorted(all_breakpoints(cache_for(network, cache)))
-    top = 0
-    if result.algorithm == "jumps" and result.k >= 2:
-        top = jump_set(result.k)[-1]
+    top = _top_multiplier(result)
     labels = []
     for record in result.trace:
         if top and record.jump == top:
@@ -219,9 +222,7 @@ def halving_violations(result: SolveResult) -> list[str]:
     violations that are not bugs.
     """
     star = result.theta_star
-    top = 0
-    if result.algorithm == "jumps" and result.k >= 2:
-        top = jump_set(result.k)[-1]
+    top = _top_multiplier(result)
     problems = []
     for record in result.trace[:-1]:
         if top and record.jump == top:

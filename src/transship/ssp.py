@@ -27,11 +27,12 @@ so repeated runs produce identical profiles.
 
 The grid also holds the one residual layout every subset's search shares:
 flat edge arrays in which edge ``e`` pairs with its reverse ``e ^ 1``, the
-base arcs first and then one auxiliary arc per terminal, all closed.  A
-subset copies the capacities, opens the auxiliary arcs of its own hookups
-and runs on that copy.  Each Dijkstra search stops as soon as it settles
-the super sink; it returns the same path, and leaves the same potentials,
-as a search run to exhaustion would (see ``_Residual.shortest_path``).
+m base arcs first and then terminal i's auxiliary arc as arc m + i, all
+closed.  A subset copies the capacities, opens the auxiliary arcs of its
+own sources and of the sinks outside it, and runs on that copy.  Each
+Dijkstra search stops as soon as it settles the super sink; it returns the
+same path, and leaves the same potentials, as a search run to exhaustion
+would (see ``_Residual.shortest_path``).
 
 A ``ProfileCache`` holds the subset cap, 16 terminals by default (one
 16-terminal solve took 30 s and 350 MB).  Whatever enumerates all 2^k
@@ -61,17 +62,12 @@ __all__ = [
 DEFAULT_SUBSET_CAP = 16
 
 
-def _hookups(network: FlowNetwork, subset: TerminalSet) -> list[tuple[int, int]]:
-    """Auxiliary arcs as (tail, head): the super source ``n`` feeds S's
-    sources, and the sinks outside S drain into the super sink ``n + 1``."""
+def _bits(network: FlowNetwork, subset: TerminalSet) -> int:
+    """The subset's bits, once its width is checked against the k terminals."""
     if subset.width != network.k:
         raise ValueError("subset width %d does not match %d terminals"
                          % (subset.width, network.k))
-    n, bits = network.node_count, subset.bits
-    n_src = len(network.sources)
-    return ([(n, v) for i, v in enumerate(network.sources) if bits >> i & 1]
-            + [(v, n + 1) for j, v in enumerate(network.sinks, n_src)
-               if not bits >> j & 1])
+    return subset.bits
 
 
 @dataclass(frozen=True)
@@ -91,56 +87,56 @@ class FlowProfile:
     ``compute_profile`` also records the segments on the instance's
     ``IntegerGrid``, for the envelope: ``lengths`` in units of
     1/time_scale, and prefix sums of amount (units of 1/rate_scale) and of
-    amount * length, where entry j sums the first j segments.  A profile
-    assembled by hand leaves them empty and works only with ``horizon``.
+    amount * length, where entry j sums the first j segments.
     """
 
     segments: tuple[Segment, ...]
-    lengths: tuple[int, ...] = ()
-    amount_sums: tuple[int, ...] = ()
-    moment_sums: tuple[int, ...] = ()
+    lengths: tuple[int, ...]
+    amount_sums: tuple[int, ...]
+    moment_sums: tuple[int, ...]
 
 
 class IntegerGrid:
     """An instance's arcs scaled to integers, and the residual layout that
     every subset's search shares.
 
-    ``arcs`` holds (tail, head, capacity * rate_scale, transit * time_scale)
-    per arc, where time_scale is the lcm of the transit denominators and
-    rate_scale that of the capacity denominators.  ``bound`` is
-    ``capacity_bound * rate_scale``, the capacity of an open auxiliary arc.
+    Transit times are multiplied by ``time_scale``, the lcm of their
+    denominators, and capacities by ``rate_scale``, the lcm of theirs.
+    ``bound``, the sum of the scaled capacities, is the capacity of an open
+    auxiliary arc.
 
-    The layout has the base arcs first, in index order, then one auxiliary
-    arc per terminal, as ``_hookups`` wires them when S holds every source:
-    super source to each source, then each sink to super sink.  Arc i is
-    edge 2i and its reverse edge 2i + 1, so edge ``e`` pairs with ``e ^ 1``;
+    The layout has the m base arcs first, in index order, then one auxiliary
+    arc per terminal: arc m + i is terminal i's, from the super source ``n``
+    to a source, or from a sink to the super sink ``n + 1``.  Arc i is edge
+    2i and its reverse edge 2i + 1, so edge ``e`` pairs with ``e ^ 1``;
     ``to`` and ``cost`` are indexed by edge, and ``adj`` lists each node's
     edges in that order.  ``closed`` is the capacity of every edge with the
-    auxiliary arcs closed (capacity 0); a subset copies it and opens the
-    edges of its hookups, found through ``aux``.  A search skips a closed
-    edge as it skips a saturated one, so the open edges keep the relative
-    order a layout of the base arcs and the subset's hookups alone would
-    give them, and ties resolve as they would there.
+    auxiliary arcs closed (capacity 0).  A subset S opens terminal i's arc
+    when i being a source equals i being in S, that is for each set bit of
+    ``S ^ sink_bits``.  A search skips a closed edge as it skips a saturated
+    one, so the open edges keep the relative order a layout of the base
+    arcs and S's auxiliary arcs alone would give them, and ties resolve as
+    they would there.
     """
 
-    __slots__ = ("time_scale", "rate_scale", "arcs", "bound",
-                 "to", "cost", "closed", "adj", "aux")
+    __slots__ = ("time_scale", "rate_scale", "m", "sink_bits", "bound",
+                 "to", "cost", "closed", "adj")
 
     def __init__(self, network: FlowNetwork):
         lt = math.lcm(*(a.transit.denominator for a in network.arcs))
         lc = math.lcm(*(a.capacity.denominator for a in network.arcs))
         self.time_scale, self.rate_scale = lt, lc
-        self.arcs = tuple(
-            (a.tail, a.head,
-             a.capacity.numerator * (lc // a.capacity.denominator),
-             a.transit.numerator * (lt // a.transit.denominator))
-            for a in network.arcs)
-        self.bound = sum(arc[2] for arc in self.arcs)
-        wiring = _hookups(network, TerminalSet((1 << len(network.sources)) - 1,
-                                               network.k))
+        n, self.m = network.node_count, len(network.arcs)
+        self.sink_bits = (1 << network.k) - (1 << len(network.sources))
+        arcs = [(a.tail, a.head,
+                 a.capacity.numerator * (lc // a.capacity.denominator),
+                 a.transit.numerator * (lt // a.transit.denominator))
+                for a in network.arcs]
+        arcs += [(n, v, 0, 0) for v in network.sources]
+        arcs += [(v, n + 1, 0, 0) for v in network.sinks]
         to, costs, closed = [], [], []
-        adj = [[] for _ in range(network.node_count + 2)]
-        for tail, head, cap, cost in self.arcs + tuple((u, v, 0, 0) for u, v in wiring):
+        adj = [[] for _ in range(n + 2)]
+        for tail, head, cap, cost in arcs:
             adj[tail].append(len(to))
             adj[head].append(len(to) + 1)
             to += (head, tail)
@@ -148,8 +144,7 @@ class IntegerGrid:
             closed += (cap, 0)
         self.to, self.cost, self.closed = tuple(to), tuple(costs), tuple(closed)
         self.adj = tuple(map(tuple, adj))
-        m = len(self.arcs)
-        self.aux = {pair: 2 * (m + i) for i, pair in enumerate(wiring)}
+        self.bound = sum(closed[0::2])
 
 
 class _Residual:
@@ -158,11 +153,14 @@ class _Residual:
 
     __slots__ = ("grid", "cap", "potential")
 
-    def __init__(self, grid: IntegerGrid, hookups):
+    def __init__(self, grid: IntegerGrid, bits: int):
         self.grid = grid
         self.cap = cap = list(grid.closed)
-        for pair in hookups:
-            cap[grid.aux[pair]] = grid.bound
+        opened = bits ^ grid.sink_bits
+        while opened:
+            low = opened & -opened
+            cap[2 * (grid.m + low.bit_length() - 1)] = grid.bound
+            opened ^= low
         self.potential = [0] * len(grid.adj)
 
     def shortest_path(self, s: int, t: int):
@@ -216,7 +214,7 @@ class _Residual:
             path.append(e)
             v = to[e ^ 1]
         bottleneck = min(cap[e] for e in path)
-        base_edges = 2 * len(self.grid.arcs)
+        base_edges = 2 * self.grid.m
         uses = {}
         for e in path:
             cap[e] -= bottleneck
@@ -235,7 +233,7 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet,
     """
     if grid is None:
         grid = IntegerGrid(network)
-    res = _Residual(grid, _hookups(network, subset))
+    res = _Residual(grid, _bits(network, subset))
     s, t = network.node_count, network.node_count + 1
     segments, lengths, amount_sums, moment_sums = [], [], [0], [0]
     while True:
@@ -246,7 +244,7 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet,
         amount, uses = res.augment(s, t, parent)
         # A simple path crosses each original arc at most once, so the
         # certificate must reproduce the length exactly.
-        if sum(grid.arcs[i][3] * c for i, c in uses.items()) != length:
+        if sum(grid.cost[2 * i] * c for i, c in uses.items()) != length:
             raise InvariantViolation(
                 "segment %d of subset %#x: certificate does not reproduce "
                 "its length" % (len(segments), subset.bits))
@@ -256,7 +254,7 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet,
         if lengths and length < lengths[-1]:
             raise InvariantViolation("segment %d of subset %#x is shorter than "
                                      "the one before" % (len(segments), subset.bits))
-        certificate = [0] * len(grid.arcs)
+        certificate = [0] * grid.m
         for i, c in uses.items():
             certificate[i] = c
         segments.append(Segment(Fraction(length, grid.time_scale),
@@ -295,7 +293,7 @@ class ProfileCache:
         return range(1 << k)
 
     def profile(self, subset: TerminalSet | int) -> FlowProfile:
-        bits = subset.bits if isinstance(subset, TerminalSet) else subset
+        bits = _bits(self.network, subset) if isinstance(subset, TerminalSet) else subset
         hit = self._profiles.get(bits)
         if hit is None:
             hit = compute_profile(self.network, TerminalSet(bits, self.network.k),

@@ -222,6 +222,22 @@ class TestBench:
         assert (tmp_path / "ea.csv").read_text() \
             == (tmp_path / "eb.csv").read_text()
 
+    def test_each_solver_timed_on_a_fresh_cache(self, monkeypatch):
+        from transship import bench
+
+        sizes = []
+
+        def entry_size(solve):
+            def wrapped(network, b, *, cache):
+                sizes.append((solve.__name__, len(cache)))
+                return solve(network, b, cache=cache)
+            return wrapped
+
+        for name in ("solve_newton_simple", "solve_newton_jumps"):
+            monkeypatch.setattr(bench, name, entry_size(getattr(bench, name)))
+        bench.run_bench([0])
+        assert sizes == [("solve_newton_simple", 0), ("solve_newton_jumps", 0)]
+
 
 class TestGen:
     def test_round_trip_through_solver(self, capsys, tmp_path):

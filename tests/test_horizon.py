@@ -124,5 +124,7 @@ class TestBreakpoints:
     def test_deduplicated_and_sorted(self):
         prof = FlowProfile(segments=(Segment(F(1), F(1), (1,)),
                                      Segment(F(1), F(2), (1,)),
-                                     Segment(F(3), F(1), (1,))))
+                                     Segment(F(3), F(1), (1,))),
+                           lengths=(1, 1, 3), amount_sums=(0, 1, 3, 4),
+                           moment_sums=(0, 1, 3, 6))
         assert breakpoints(prof) == (F(1), F(3))

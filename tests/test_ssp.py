@@ -8,9 +8,20 @@ from transship import (ProfileCache, ResourceCapExceeded, TerminalSet,
                        solve_newton_simple, theta_star_bruteforce)
 from transship.bench import corpus_instance
 from transship.horizon import all_breakpoints
-from transship.ssp import IntegerGrid, _hookups
+from transship.ssp import IntegerGrid, _Residual
 from conftest import instance_b_network, instance_b_supply, single_arc_network
 from test_rational import reference_profile
+
+
+def opened(net, nodes):
+    """(edge, tail, head) of each auxiliary edge a subset's residual opens,
+    checking each opens at the grid's bound."""
+    grid = IntegerGrid(net)
+    cap = _Residual(grid, TerminalSet.of_nodes(net, nodes).bits).cap
+    edges = [e for e in range(2 * grid.m, len(cap), 2) if cap[e]]
+    assert all(cap[e] == grid.bound for e in edges)
+    assert cap[:2 * grid.m] == list(grid.closed[:2 * grid.m])
+    return [(e, grid.to[e ^ 1], grid.to[e]) for e in edges]
 
 
 class TestExtendedNetwork:
@@ -21,19 +32,18 @@ class TestExtendedNetwork:
     def test_single_arc_source_set(self):
         net = single_arc_network()
         # super source feeds the one source, the one sink drains to super sink
-        assert _hookups(net, TerminalSet.of_nodes(net, [0])) == [(2, 0), (1, 3)]
+        assert opened(net, [0]) == [(2, 2, 0), (4, 1, 3)]
         assert IntegerGrid(net).bound == net.capacity_bound == 1
 
     def test_instance_b_both_sources(self):
         net = instance_b_network()
         # two source hookups plus one sink drain
-        assert _hookups(net, TerminalSet.of_nodes(net, [0, 1])) == [
-            (3, 0), (3, 1), (2, 4)]
+        assert opened(net, [0, 1]) == [(4, 3, 0), (6, 3, 1), (8, 2, 4)]
 
     def test_subset_without_sources_gets_no_source_hookup(self):
         net = instance_b_network()
         # sink 2 is inside S, so nothing drains and nothing feeds
-        assert _hookups(net, TerminalSet.of_nodes(net, [2])) == []
+        assert opened(net, [2]) == []
 
     def test_shared_layout(self):
         net = instance_b_network()
@@ -45,13 +55,16 @@ class TestExtendedNetwork:
         assert grid.cost == (0, 0, 1, -1, 0, 0, 0, 0, 0, 0)
         assert grid.closed == (2, 0, 1, 0, 0, 0, 0, 0, 0, 0)
         assert grid.adj == ((0, 5), (2, 7), (1, 3, 8), (4, 6), (9,))
-        assert grid.aux == {(3, 0): 4, (3, 1): 6, (2, 4): 8}
+        # terminal i's auxiliary arc is arc m + i; bit 2, the sink, opens
+        # its arc when it is outside the subset
+        assert (grid.m, grid.sink_bits) == (2, 0b100)
 
     def test_original_arcs_preserved(self):
         net = instance_b_network()
         grid = IntegerGrid(net)
-        assert [(u, v, F(c, grid.rate_scale), F(t, grid.time_scale))
-                for u, v, c, t in grid.arcs] \
+        to, cost, closed = grid.to, grid.cost, grid.closed
+        assert [(to[2 * i + 1], to[2 * i], F(closed[2 * i], grid.rate_scale),
+                 F(cost[2 * i], grid.time_scale)) for i in range(grid.m)] \
             == [(a.tail, a.head, a.capacity, a.transit) for a in net.arcs]
 
 
@@ -133,6 +146,16 @@ class TestProfileCache:
         assert cache.profile(s) is first
         assert cache.profile(s.bits) is first
         assert len(cache) == 1
+
+    def test_subset_width_checked(self):
+        # instance B has k = 3; a width-2 set must not alias bits 0b01
+        net = instance_b_network()
+        cache = ProfileCache(net)
+        cache.profile(0b01)
+        for call in (lambda: cache.profile(TerminalSet(1, 2)),
+                     lambda: compute_profile(net, TerminalSet(1, 2))):
+            with pytest.raises(ValueError, match="width 2 does not match 3 terminals"):
+                call()
 
     def test_deterministic_across_caches(self):
         net = instance_b_network()
