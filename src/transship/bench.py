@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .core import FlowNetwork, format_rational, SupplyVector
@@ -25,11 +25,6 @@ from .ssp import ProfileCache
 
 __all__ = ["BenchRow", "corpus_params", "corpus_instance", "run_bench",
            "write_rows_csv", "write_envelope_csv", "BENCH_COLUMNS"]
-
-BENCH_COLUMNS = ["seed", "n", "m", "k", "theta_star", "iters_simple",
-                 "iters_jumps", "count_I1", "count_I2", "count_I3",
-                 "wall_simple", "wall_jumps"]
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -47,10 +42,13 @@ class BenchRow:
     wall_jumps: float
 
     def as_list(self):
-        return [self.seed, self.n, self.m, self.k,
-                format_rational(self.theta_star), self.iters_simple,
-                self.iters_jumps, self.count_I1, self.count_I2, self.count_I3,
-                "%.6f" % self.wall_simple, "%.6f" % self.wall_jumps]
+        values = (getattr(self, f.name) for f in fields(self))
+        return [format_rational(v) if isinstance(v, Fraction)
+                else "%.6f" % v if isinstance(v, float) else v
+                for v in values]
+
+
+BENCH_COLUMNS = [f.name for f in fields(BenchRow)]
 
 
 def corpus_params(seed: int) -> dict:

@@ -167,8 +167,12 @@ def build_time_expanded(network: FlowNetwork, b: SupplyVector, steps: int, *,
     Copies are emitted layer by layer, in each layer the movement copies in
     arc order and then the holdovers in node order; source hookups, drains
     and collector arcs come last.  Push-relabel's running time depends on
-    this order.
+    this order.  Raises ValueError when ``b`` does not have one entry per
+    terminal.
     """
+    if len(b.values) != network.k:
+        raise ValueError("supply vector has %d entries for %d terminals"
+                         % (len(b.values), network.k))
     _check_expandable(network, steps, node_cap)
     n = network.node_count
     n_src = len(network.sources)
@@ -405,6 +409,9 @@ def verify_flow(network: FlowNetwork, b: SupplyVector, flow: FlowOverTime,
     if len(flow.rates) != len(network.arcs):
         return ["flow describes %d arcs, instance has %d"
                 % (len(flow.rates), len(network.arcs))]
+    if len(b.values) != network.k:
+        return ["supply vector has %d entries for %d terminals"
+                % (len(b.values), network.k)]
     for i, (arc, pieces) in enumerate(zip(network.arcs, flow.rates)):
         last_time = None
         for time, rate in pieces:

@@ -28,11 +28,11 @@ so repeated runs produce identical profiles.
 The grid also holds the one residual layout every subset's search shares:
 flat edge arrays in which edge ``e`` pairs with its reverse ``e ^ 1``, the
 m base arcs first and then terminal i's auxiliary arc as arc m + i, all
-closed.  A subset copies the capacities, opens the auxiliary arcs of its
-own sources and of the sinks outside it, and runs on that copy.  Each
-Dijkstra search stops as soon as it settles the super sink; it returns the
-same path, and leaves the same potentials, as a search run to exhaustion
-would (see ``_Residual.shortest_path``).
+closed.  A subset's search starts from ``IntegerGrid.capacities``, a copy
+with the auxiliary arcs of its own sources and of the sinks outside it open.
+Each Dijkstra search stops as soon as it settles the super sink; it finds
+the same path, and leaves the same potentials, as a search run to
+exhaustion would (see ``compute_profile``).
 
 A ``ProfileCache`` holds the subset cap, 16 terminals by default (one
 16-terminal solve took 30 s and 350 MB).  Whatever enumerates all 2^k
@@ -113,10 +113,10 @@ class IntegerGrid:
     edges in that order.  ``closed`` is the capacity of every edge with the
     auxiliary arcs closed (capacity 0).  A subset S opens terminal i's arc
     when i being a source equals i being in S, that is for each set bit of
-    ``S ^ sink_bits``.  A search skips a closed edge as it skips a saturated
-    one, so the open edges keep the relative order a layout of the base
-    arcs and S's auxiliary arcs alone would give them, and ties resolve as
-    they would there.
+    ``S ^ sink_bits`` (``capacities``).  A search skips a closed edge as it
+    skips a saturated one, so the open edges keep the relative order a
+    layout of the base arcs and S's auxiliary arcs alone would give them,
+    and ties resolve as they would there.
     """
 
     __slots__ = ("time_scale", "rate_scale", "m", "sink_bits", "bound",
@@ -146,41 +146,49 @@ class IntegerGrid:
         self.adj = tuple(map(tuple, adj))
         self.bound = sum(closed[0::2])
 
-
-class _Residual:
-    """One subset's residual capacities and node potentials on its grid's
-    shared layout."""
-
-    __slots__ = ("grid", "cap", "potential")
-
-    def __init__(self, grid: IntegerGrid, bits: int):
-        self.grid = grid
-        self.cap = cap = list(grid.closed)
-        opened = bits ^ grid.sink_bits
+    def capacities(self, bits: int) -> list[int]:
+        """The residual capacities subset ``bits`` starts from: ``closed``
+        with terminal i's auxiliary arc open, at ``bound``, for each set bit
+        i of ``bits ^ sink_bits``."""
+        cap = list(self.closed)
+        opened = bits ^ self.sink_bits
         while opened:
             low = opened & -opened
-            cap[2 * (grid.m + low.bit_length() - 1)] = grid.bound
+            cap[2 * (self.m + low.bit_length() - 1)] = self.bound
             opened ^= low
-        self.potential = [0] * len(grid.adj)
+        return cap
 
-    def shortest_path(self, s: int, t: int):
-        """Dijkstra on reduced costs, stopped when ``t`` is settled; returns
-        (true length, parent edge per node) or None.
 
-        Equal-distance heap ties resolve by node id, and parents only change
-        on strict improvement, so the chosen path is a deterministic function
-        of the residual state.  Stopping at ``t`` changes neither the path
-        nor the potentials: nodes settled before ``t`` hold their final
-        distance, and every other node's final and tentative distance are
-        both at least ``t``'s, so ``min(distance, reach_t)`` is the same.
-        """
-        grid = self.grid
-        adj, to, cost, cap, pot = grid.adj, grid.to, grid.cost, self.cap, self.potential
+def compute_profile(network: FlowNetwork, subset: TerminalSet,
+                    grid: IntegerGrid | None = None) -> FlowProfile:
+    """Run successive shortest paths to exhaustion for one subset.
+
+    ``grid`` is the network's ``IntegerGrid``; ``ProfileCache`` passes the
+    one it built, so an instance is scaled once however many subsets it has.
+
+    Each round runs Dijkstra on reduced costs from the super source ``s``,
+    stopped when the super sink ``t`` is settled, then pushes the bottleneck
+    along the parent path.  Equal-distance heap ties resolve by node id, and
+    parents only change on strict improvement, so the chosen path is a
+    deterministic function of the residual state.  Stopping at ``t``
+    changes neither the path nor the potentials: nodes settled before ``t``
+    hold their final distance, and every other node's final and tentative
+    distance are both at least ``t``'s distance d, so ``min(distance, d)``,
+    the potential update, is the same.
+    """
+    if grid is None:
+        grid = IntegerGrid(network)
+    adj, to, cost, m = grid.adj, grid.to, grid.cost, grid.m
+    cap = grid.capacities(_bits(network, subset))
+    pot = [0] * len(adj)
+    s, t = network.node_count, network.node_count + 1
+    pop, push = heapq.heappop, heapq.heappush
+    segments, lengths, amount_sums, moment_sums = [], [], [0], [0]
+    while True:
         dist = [None] * len(adj)
         parent = [None] * len(adj)
         dist[s] = 0
         heap = [(0, s)]
-        pop, push = heapq.heappop, heapq.heappush
         while heap:
             d, u = pop(heap)
             if d > dist[u]:
@@ -198,53 +206,25 @@ class _Residual:
                         parent[v] = e
                         push(heap, (nd, v))
         else:
-            return None
-        reach_t = d
-        self.potential = pot = [p + (reach_t if dv is None or dv > reach_t else dv)
-                                for p, dv in zip(pot, dist)]
-        return pot[t] - pot[s], parent
-
-    def augment(self, s: int, t: int, parent) -> tuple[int, dict]:
-        """Push the bottleneck along the parent path; return (amount, arc uses)."""
-        to, cap = self.grid.to, self.cap
+            break
+        pot = [p + (d if dv is None or dv > d else dv) for p, dv in zip(pot, dist)]
+        length = pot[t] - pot[s]
         path = []
         v = t
         while v != s:
             e = parent[v]
             path.append(e)
             v = to[e ^ 1]
-        bottleneck = min(cap[e] for e in path)
-        base_edges = 2 * self.grid.m
-        uses = {}
+        amount = min(cap[e] for e in path)
+        certificate = [0] * m
         for e in path:
-            cap[e] -= bottleneck
-            cap[e ^ 1] += bottleneck
-            if e < base_edges:
-                uses[e >> 1] = -1 if e & 1 else 1
-        return bottleneck, uses
-
-
-def compute_profile(network: FlowNetwork, subset: TerminalSet,
-                    grid: IntegerGrid | None = None) -> FlowProfile:
-    """Run successive shortest paths to exhaustion for one subset.
-
-    ``grid`` is the network's ``IntegerGrid``; ``ProfileCache`` passes the
-    one it built, so an instance is scaled once however many subsets it has.
-    """
-    if grid is None:
-        grid = IntegerGrid(network)
-    res = _Residual(grid, _bits(network, subset))
-    s, t = network.node_count, network.node_count + 1
-    segments, lengths, amount_sums, moment_sums = [], [], [0], [0]
-    while True:
-        found = res.shortest_path(s, t)
-        if found is None:
-            break
-        length, parent = found
-        amount, uses = res.augment(s, t, parent)
+            cap[e] -= amount
+            cap[e ^ 1] += amount
+            if e < 2 * m:
+                certificate[e >> 1] = -1 if e & 1 else 1
         # A simple path crosses each original arc at most once, so the
         # certificate must reproduce the length exactly.
-        if sum(grid.cost[2 * i] * c for i, c in uses.items()) != length:
+        if sum(cost[2 * i] * c for i, c in enumerate(certificate) if c) != length:
             raise InvariantViolation(
                 "segment %d of subset %#x: certificate does not reproduce "
                 "its length" % (len(segments), subset.bits))
@@ -254,9 +234,6 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet,
         if lengths and length < lengths[-1]:
             raise InvariantViolation("segment %d of subset %#x is shorter than "
                                      "the one before" % (len(segments), subset.bits))
-        certificate = [0] * grid.m
-        for i, c in uses.items():
-            certificate[i] = c
         segments.append(Segment(Fraction(length, grid.time_scale),
                                 Fraction(amount, grid.rate_scale),
                                 tuple(certificate)))
@@ -306,10 +283,14 @@ class ProfileCache:
 
         Returns ``(supply_scale, table)``: supply_scale is the lcm of the
         supply denominators, and ``table[bits]`` is that subset's net supply
-        times ``supply_scale * rate_scale * time_scale``.
+        times ``supply_scale * rate_scale * time_scale``.  Raises
+        ValueError when ``b`` does not have one entry per terminal.
         """
         hit = self._needs.get(b)
         if hit is None:
+            if len(b.values) != self.network.k:
+                raise ValueError("supply vector has %d entries for %d terminals"
+                                 % (len(b.values), self.network.k))
             den = math.lcm(*(x.denominator for x in b.values))
             unit = den * self.grid.rate_scale * self.grid.time_scale
             values = [x.numerator * (unit // x.denominator) for x in b.values]

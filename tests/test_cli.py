@@ -341,11 +341,14 @@ import sys
 assert False, "assertions are on; this must run under -O"
 from transship import cli, ssp
 if sys.argv[1] == "segment-length":
-    real = ssp._Residual.shortest_path
-    def wrong(self, s, t):
-        found = real(self, s, t)
-        return None if found is None else (found[0] + 1, found[1])
-    ssp._Residual.shortest_path = wrong
+    # Every forward auxiliary edge takes time, which no certificate over
+    # the base arcs can witness.
+    real = ssp.IntegerGrid.__init__
+    def wrong(self, network):
+        real(self, network)
+        self.cost = tuple(c + 1 if e >= 2 * self.m and not e & 1 else c
+                          for e, c in enumerate(self.cost))
+    ssp.IntegerGrid.__init__ = wrong
 else:
     real = cli.solve_newton_simple
     def wrong(*args, **kwargs):
@@ -356,6 +359,9 @@ else:
 sys.exit(cli.main(["solve", "--algo", "both", "--input", sys.argv[2]]))
 """
 
+STUB_MESSAGES = {"segment-length": "certificate does not reproduce its length",
+                 "solver-variants": "solver variants disagree"}
+
 
 @pytest.mark.parametrize("stub", ["segment-length", "solver-variants"])
 def test_invariant_checks_survive_optimize_flag(instance_file, stub):
@@ -365,4 +371,6 @@ def test_invariant_checks_survive_optimize_flag(instance_file, stub):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
-    assert json.loads(proc.stderr)["error"] == "internal"
+    error = json.loads(proc.stderr)
+    assert error["error"] == "internal"
+    assert STUB_MESSAGES[stub] in error["message"]

@@ -590,6 +590,7 @@ class TestAgainstReference:
         assert done == 8
 
 
+
 class TestVerifier:
     def test_rejects_over_capacity(self, single_arc):
         net, b = single_arc
@@ -649,3 +650,14 @@ class TestVerifier:
         b = SupplyVector.for_network(net, {0: F(0), 1: F(0)})
         flow = FlowOverTime(theta=F(0), rates=((),))
         assert verify_flow(net, b, flow, F(0)) == []
+
+    @pytest.mark.parametrize("values", [(5, 1), (5, 1, -6, 0)])
+    def test_supply_vector_of_wrong_length_refused(self, instance_b, values):
+        net, good = instance_b
+        flow = extract_transshipment(net, good, F(5, 2))
+        b = SupplyVector(tuple(map(F, values)))
+        message = "supply vector has %d entries for 3 terminals" % len(values)
+        for call in (extract_transshipment, feasible_by_expansion):
+            with pytest.raises(ValueError, match=message):
+                call(net, b, F(5, 2))
+        assert verify_flow(net, b, flow, F(5, 2)) == [message]

@@ -2,22 +2,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from transship import (ProfileCache, ResourceCapExceeded, TerminalSet,
-                       classify_iterations, compute_profile, generate_instance,
-                       minimize_slack, parse_instance, solve_newton_jumps,
-                       solve_newton_simple, theta_star_bruteforce)
+from transship import (ProfileCache, ResourceCapExceeded, SupplyVector,
+                       TerminalSet, classify_iterations, compute_profile,
+                       generate_instance, minimize_slack, parse_instance,
+                       solve_newton_jumps, solve_newton_simple,
+                       theta_star_bruteforce)
 from transship.bench import corpus_instance
 from transship.horizon import all_breakpoints
-from transship.ssp import IntegerGrid, _Residual
+from transship.ssp import IntegerGrid
 from conftest import instance_b_network, instance_b_supply, single_arc_network
 from test_rational import reference_profile
 
 
 def opened(net, nodes):
-    """(edge, tail, head) of each auxiliary edge a subset's residual opens,
+    """(edge, tail, head) of each auxiliary edge a subset's capacities open,
     checking each opens at the grid's bound."""
     grid = IntegerGrid(net)
-    cap = _Residual(grid, TerminalSet.of_nodes(net, nodes).bits).cap
+    cap = grid.capacities(TerminalSet.of_nodes(net, nodes).bits)
     edges = [e for e in range(2 * grid.m, len(cap), 2) if cap[e]]
     assert all(cap[e] == grid.bound for e in edges)
     assert cap[:2 * grid.m] == list(grid.closed[:2 * grid.m])
@@ -182,6 +183,15 @@ class TestProfileCache:
             assert (err.value.needed, err.value.cap) == (3, 2)
         # single profiles stay uncapped
         assert cache.profile(0b011).segments == ProfileCache(net).profile(0b011).segments
+
+    @pytest.mark.parametrize("values", [(5, 1), (5, 1, -6, 0)])
+    def test_supply_vector_of_wrong_length_refused(self, values):
+        net, b = instance_b_network(), SupplyVector(tuple(map(F, values)))
+        message = "supply vector has %d entries for 3 terminals" % len(values)
+        for call in (lambda: minimize_slack(net, b, F(1)),
+                     lambda: solve_newton_jumps(net, b)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     @pytest.mark.parametrize("other_seed", [3, 1])
     def test_cache_of_another_network_refused(self, other_seed):
