@@ -319,7 +319,11 @@ def value_by_expansion(network: FlowNetwork, subset: TerminalSet, theta: Rat, *,
 
     The question ignores supplies, so the subset's sources hold, and the
     sinks outside it absorb, more than all movement copies can carry.
+    Raises ValueError when the subset's width is not the terminal count.
     """
+    if subset.width != network.k:
+        raise ValueError("subset width %d does not match %d terminals"
+                         % (subset.width, network.k))
     big = Fraction(theta) * network.capacity_bound + 1
     n_src = len(network.sources)
     values = [big if i in subset else 0 for i in range(n_src)]

@@ -190,9 +190,12 @@ def generate_instance(n: int, m: int, k: int, max_u: int, max_tau: int,
     source ahead of every sink, which guarantees each source reaches each
     sink through positive-capacity arcs; a finite answer therefore always
     exists.  Supplies and demands are balanced integers within ``max_b``.
+    More than ``MAX_NODES`` nodes raise ResourceCapExceeded, as parsing does.
     """
     if n < 2:
         raise ValueError("need at least 2 nodes, got %d" % n)
+    if n > MAX_NODES:
+        raise ResourceCapExceeded(n, MAX_NODES, "nodes")
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n terminals, got k=%d, n=%d" % (k, n))
     if m < n - 1:

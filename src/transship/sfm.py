@@ -50,10 +50,9 @@ def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     Only the minimum becomes a rational again.
     """
     cache = cache_for(network, cache)
-    grid = cache.grid
     supply_scale, need = cache.need_table(b)
     q = theta.denominator
-    scaled = theta.numerator * grid.time_scale     # theta * time_scale * q
+    scaled = theta.numerator * cache.time_scale     # theta * time_scale * q
     cut = scaled // q
     gain, cost = supply_scale * scaled, supply_scale * q
     best = None
@@ -68,7 +67,7 @@ def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
             best_and = bits
         elif slack == best:
             best_and &= bits
-    value = Fraction(best, q * grid.rate_scale * grid.time_scale * supply_scale)
+    value = Fraction(best, q * cache.rate_scale * cache.time_scale * supply_scale)
     subset = TerminalSet(best_and, network.k)
     # Minimizers of a submodular function form a lattice, so the
     # intersection of all of them is itself a minimizer.  Recomputing its

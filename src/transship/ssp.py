@@ -18,23 +18,23 @@ over the original arcs (forward/backward use on the augmenting path) whose
 inner product with the transit times reproduces the segment length exactly.
 
 The search runs on Python ints.  Each instance is put on an integer grid
-once (``IntegerGrid``): transit times are multiplied by the lcm of their
-denominators, capacities by the lcm of theirs.  Scaling by positive
+once, by its ``ProfileCache``: transit times are multiplied by the lcm of
+their denominators, capacities by the lcm of theirs.  Scaling by positive
 constants keeps every comparison, so the integer search takes exactly the
 paths a rational one would, and a returned profile holds the same exact
 rational segments.  Ties in the shortest-path search are broken by node id
 so repeated runs produce identical profiles.
 
-The grid also holds the one residual layout every subset's search shares:
+The cache also holds the one residual layout every subset's search shares:
 flat edge arrays in which edge ``e`` pairs with its reverse ``e ^ 1``, the
 m base arcs first and then terminal i's auxiliary arc as arc m + i, all
-closed.  A subset's search starts from ``IntegerGrid.capacities``, a copy
+closed.  A subset's search starts from ``ProfileCache.capacities``, a copy
 with the auxiliary arcs of its own sources and of the sinks outside it open.
 Each Dijkstra search stops as soon as it settles the super sink; it finds
 the same path, and leaves the same potentials, as a search run to
 exhaustion would (see ``compute_profile``).
 
-A ``ProfileCache`` holds the subset cap, 16 terminals by default (one
+The cache holds the subset cap as well, 16 terminals by default (one
 16-terminal solve took 30 s and 350 MB).  Whatever enumerates all 2^k
 subsets does so through ``ProfileCache.subsets``, which checks the cap;
 single profiles stay uncapped.
@@ -84,8 +84,8 @@ class FlowProfile:
     """Ordered augmentation segments for one terminal subset, found by
     searching until no augmenting path remains.
 
-    ``compute_profile`` also records the segments on the instance's
-    ``IntegerGrid``, for the envelope: ``lengths`` in units of
+    ``compute_profile`` also records the segments on the cache's integer
+    grid, for the envelope: ``lengths`` in units of
     1/time_scale, and prefix sums of amount (units of 1/rate_scale) and of
     amount * length, where entry j sums the first j segments.
     """
@@ -96,75 +96,13 @@ class FlowProfile:
     moment_sums: tuple[int, ...]
 
 
-class IntegerGrid:
-    """An instance's arcs scaled to integers, and the residual layout that
-    every subset's search shares.
-
-    Transit times are multiplied by ``time_scale``, the lcm of their
-    denominators, and capacities by ``rate_scale``, the lcm of theirs.
-    ``bound``, the sum of the scaled capacities, is the capacity of an open
-    auxiliary arc.
-
-    The layout has the m base arcs first, in index order, then one auxiliary
-    arc per terminal: arc m + i is terminal i's, from the super source ``n``
-    to a source, or from a sink to the super sink ``n + 1``.  Arc i is edge
-    2i and its reverse edge 2i + 1, so edge ``e`` pairs with ``e ^ 1``;
-    ``to`` and ``cost`` are indexed by edge, and ``adj`` lists each node's
-    edges in that order.  ``closed`` is the capacity of every edge with the
-    auxiliary arcs closed (capacity 0).  A subset S opens terminal i's arc
-    when i being a source equals i being in S, that is for each set bit of
-    ``S ^ sink_bits`` (``capacities``).  A search skips a closed edge as it
-    skips a saturated one, so the open edges keep the relative order a
-    layout of the base arcs and S's auxiliary arcs alone would give them,
-    and ties resolve as they would there.
-    """
-
-    __slots__ = ("time_scale", "rate_scale", "m", "sink_bits", "bound",
-                 "to", "cost", "closed", "adj")
-
-    def __init__(self, network: FlowNetwork):
-        lt = math.lcm(*(a.transit.denominator for a in network.arcs))
-        lc = math.lcm(*(a.capacity.denominator for a in network.arcs))
-        self.time_scale, self.rate_scale = lt, lc
-        n, self.m = network.node_count, len(network.arcs)
-        self.sink_bits = (1 << network.k) - (1 << len(network.sources))
-        arcs = [(a.tail, a.head,
-                 a.capacity.numerator * (lc // a.capacity.denominator),
-                 a.transit.numerator * (lt // a.transit.denominator))
-                for a in network.arcs]
-        arcs += [(n, v, 0, 0) for v in network.sources]
-        arcs += [(v, n + 1, 0, 0) for v in network.sinks]
-        to, costs, closed = [], [], []
-        adj = [[] for _ in range(n + 2)]
-        for tail, head, cap, cost in arcs:
-            adj[tail].append(len(to))
-            adj[head].append(len(to) + 1)
-            to += (head, tail)
-            costs += (cost, -cost)
-            closed += (cap, 0)
-        self.to, self.cost, self.closed = tuple(to), tuple(costs), tuple(closed)
-        self.adj = tuple(map(tuple, adj))
-        self.bound = sum(closed[0::2])
-
-    def capacities(self, bits: int) -> list[int]:
-        """The residual capacities subset ``bits`` starts from: ``closed``
-        with terminal i's auxiliary arc open, at ``bound``, for each set bit
-        i of ``bits ^ sink_bits``."""
-        cap = list(self.closed)
-        opened = bits ^ self.sink_bits
-        while opened:
-            low = opened & -opened
-            cap[2 * (self.m + low.bit_length() - 1)] = self.bound
-            opened ^= low
-        return cap
-
-
-def compute_profile(network: FlowNetwork, subset: TerminalSet,
-                    grid: IntegerGrid | None = None) -> FlowProfile:
+def compute_profile(network: FlowNetwork, subset: TerminalSet, *,
+                    cache: ProfileCache | None = None) -> FlowProfile:
     """Run successive shortest paths to exhaustion for one subset.
 
-    ``grid`` is the network's ``IntegerGrid``; ``ProfileCache`` passes the
-    one it built, so an instance is scaled once however many subsets it has.
+    The search runs on ``cache``'s layout, checked by ``cache_for``;
+    ``ProfileCache.profile`` passes itself, so an instance is scaled once
+    however many subsets it has.
 
     Each round runs Dijkstra on reduced costs from the super source ``s``,
     stopped when the super sink ``t`` is settled, then pushes the bottleneck
@@ -176,10 +114,9 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet,
     distance are both at least ``t``'s distance d, so ``min(distance, d)``,
     the potential update, is the same.
     """
-    if grid is None:
-        grid = IntegerGrid(network)
-    adj, to, cost, m = grid.adj, grid.to, grid.cost, grid.m
-    cap = grid.capacities(_bits(network, subset))
+    cache = cache_for(network, cache)
+    adj, to, cost, m = cache.adj, cache.to, cache.cost, cache.m
+    cap = cache.capacities(_bits(network, subset))
     pot = [0] * len(adj)
     s, t = network.node_count, network.node_count + 1
     pop, push = heapq.heappop, heapq.heappush
@@ -234,8 +171,8 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet,
         if lengths and length < lengths[-1]:
             raise InvariantViolation("segment %d of subset %#x is shorter than "
                                      "the one before" % (len(segments), subset.bits))
-        segments.append(Segment(Fraction(length, grid.time_scale),
-                                Fraction(amount, grid.rate_scale),
+        segments.append(Segment(Fraction(length, cache.time_scale),
+                                Fraction(amount, cache.rate_scale),
                                 tuple(certificate)))
         lengths.append(length)
         amount_sums.append(amount_sums[-1] + amount)
@@ -246,20 +183,71 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet,
 
 
 class ProfileCache:
-    """Memoizes one profile per terminal subset of a fixed instance.
+    """One instance on the integer grid, and one memoized profile per
+    terminal subset.
 
-    The instance is scaled to integers once, here (``grid``), and every
-    profile is computed on that grid.  Keys are the subset bit patterns.
-    ``subsets`` enumerates them all, up to ``subset_cap`` terminals.
+    Transit times are multiplied by ``time_scale``, the lcm of their
+    denominators, and capacities by ``rate_scale``, the lcm of theirs.
+    ``bound``, the sum of the scaled capacities, is the capacity of an open
+    auxiliary arc.
+
+    The layout has the m base arcs first, in index order, then one auxiliary
+    arc per terminal: arc m + i is terminal i's, from the super source ``n``
+    to a source, or from a sink to the super sink ``n + 1``.  Arc i is edge
+    2i and its reverse edge 2i + 1, so edge ``e`` pairs with ``e ^ 1``;
+    ``to`` and ``cost`` are indexed by edge, and ``adj`` lists each node's
+    edges in that order.  ``closed`` is the capacity of every edge with the
+    auxiliary arcs closed (capacity 0).  A subset S opens terminal i's arc
+    when i being a source equals i being in S, that is for each set bit of
+    ``S ^ sink_bits`` (``capacities``).  A search skips a closed edge as it
+    skips a saturated one, so the open edges keep the relative order a
+    layout of the base arcs and S's auxiliary arcs alone would give them,
+    and ties resolve as they would there.
+
+    Profiles are keyed by subset bit pattern.  ``subsets`` enumerates them
+    all, up to ``subset_cap`` terminals.
     """
 
     def __init__(self, network: FlowNetwork, *,
                  subset_cap: int = DEFAULT_SUBSET_CAP):
         self.network = network
         self.subset_cap = subset_cap
-        self.grid = IntegerGrid(network)
         self._profiles: dict[int, FlowProfile] = {}
         self._needs: dict[SupplyVector, tuple[int, list[int]]] = {}
+        lt = math.lcm(*(a.transit.denominator for a in network.arcs))
+        lc = math.lcm(*(a.capacity.denominator for a in network.arcs))
+        self.time_scale, self.rate_scale = lt, lc
+        n, self.m = network.node_count, len(network.arcs)
+        self.sink_bits = (1 << network.k) - (1 << len(network.sources))
+        arcs = [(a.tail, a.head,
+                 a.capacity.numerator * (lc // a.capacity.denominator),
+                 a.transit.numerator * (lt // a.transit.denominator))
+                for a in network.arcs]
+        arcs += [(n, v, 0, 0) for v in network.sources]
+        arcs += [(v, n + 1, 0, 0) for v in network.sinks]
+        to, costs, closed = [], [], []
+        adj = [[] for _ in range(n + 2)]
+        for tail, head, cap, cost in arcs:
+            adj[tail].append(len(to))
+            adj[head].append(len(to) + 1)
+            to += (head, tail)
+            costs += (cost, -cost)
+            closed += (cap, 0)
+        self.to, self.cost, self.closed = tuple(to), tuple(costs), tuple(closed)
+        self.adj = tuple(map(tuple, adj))
+        self.bound = sum(closed[0::2])
+
+    def capacities(self, bits: int) -> list[int]:
+        """The residual capacities subset ``bits`` starts from: ``closed``
+        with terminal i's auxiliary arc open, at ``bound``, for each set bit
+        i of ``bits ^ sink_bits``."""
+        cap = list(self.closed)
+        opened = bits ^ self.sink_bits
+        while opened:
+            low = opened & -opened
+            cap[2 * (self.m + low.bit_length() - 1)] = self.bound
+            opened ^= low
+        return cap
 
     def subsets(self) -> range:
         """Every terminal bit set, 0 to 2^k - 1; raises ResourceCapExceeded
@@ -274,7 +262,7 @@ class ProfileCache:
         hit = self._profiles.get(bits)
         if hit is None:
             hit = compute_profile(self.network, TerminalSet(bits, self.network.k),
-                                  self.grid)
+                                  cache=self)
             self._profiles[bits] = hit
         return hit
 
@@ -292,7 +280,7 @@ class ProfileCache:
                 raise ValueError("supply vector has %d entries for %d terminals"
                                  % (len(b.values), self.network.k))
             den = math.lcm(*(x.denominator for x in b.values))
-            unit = den * self.grid.rate_scale * self.grid.time_scale
+            unit = den * self.rate_scale * self.time_scale
             values = [x.numerator * (unit // x.denominator) for x in b.values]
             subsets = self.subsets()
             table = [0] * len(subsets)

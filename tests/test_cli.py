@@ -255,6 +255,12 @@ class TestGen:
         _, second, _ = run(capsys, "gen", "--seed", "3")
         assert first == second
 
+    def test_node_cap(self, capsys):
+        code, out, err = run(capsys, "gen", "--n", "100001", "--m", "100000",
+                             "--k", "2")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "resource-cap"
+
 
 class TestInputChecks:
     def test_negative_bf_cap(self, capsys, instance_file):
@@ -343,12 +349,12 @@ from transship import cli, ssp
 if sys.argv[1] == "segment-length":
     # Every forward auxiliary edge takes time, which no certificate over
     # the base arcs can witness.
-    real = ssp.IntegerGrid.__init__
-    def wrong(self, network):
-        real(self, network)
+    real = ssp.ProfileCache.__init__
+    def wrong(self, network, **kwargs):
+        real(self, network, **kwargs)
         self.cost = tuple(c + 1 if e >= 2 * self.m and not e & 1 else c
                           for e, c in enumerate(self.cost))
-    ssp.IntegerGrid.__init__ = wrong
+    ssp.ProfileCache.__init__ = wrong
 else:
     real = cli.solve_newton_simple
     def wrong(*args, **kwargs):

@@ -468,6 +468,15 @@ class TestValueOracle:
                 assert value_by_expansion(net, subset, theta) \
                     == value_at(cache.profile(subset), theta)
 
+    @pytest.mark.parametrize("subset", [TerminalSet(1, 2), TerminalSet(1, 4),
+                                        TerminalSet(0b1001, 4)])
+    def test_subset_of_wrong_width_refused(self, subset):
+        # instance B has k = 3; membership alone would read bits past the
+        # width as absent and ignore bits past k
+        with pytest.raises(ValueError, match="subset width %d does not match "
+                           "3 terminals" % subset.width):
+            value_by_expansion(instance_b_network(), subset, F(5, 2))
+
 
 class TestExtraction:
     def test_single_arc_flow_frozen(self, single_arc):

@@ -169,6 +169,13 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_instance(n=5, m=8, k=6, max_u=5, max_tau=5, max_b=5, seed=0)
 
+    def test_node_count_capped(self):
+        # the document parse_instance would refuse is never built
+        with pytest.raises(ResourceCapExceeded) as err:
+            generate_instance(n=MAX_NODES + 1, m=MAX_NODES, k=2, max_u=5,
+                              max_tau=5, max_b=5, seed=0)
+        assert (err.value.needed, err.value.cap) == (MAX_NODES + 1, MAX_NODES)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10 ** 6),
            n=st.integers(2, 9),

@@ -9,20 +9,19 @@ from transship import (ProfileCache, ResourceCapExceeded, SupplyVector,
                        theta_star_bruteforce)
 from transship.bench import corpus_instance
 from transship.horizon import all_breakpoints
-from transship.ssp import IntegerGrid
 from conftest import instance_b_network, instance_b_supply, single_arc_network
 from test_rational import reference_profile
 
 
 def opened(net, nodes):
     """(edge, tail, head) of each auxiliary edge a subset's capacities open,
-    checking each opens at the grid's bound."""
-    grid = IntegerGrid(net)
-    cap = grid.capacities(TerminalSet.of_nodes(net, nodes).bits)
-    edges = [e for e in range(2 * grid.m, len(cap), 2) if cap[e]]
-    assert all(cap[e] == grid.bound for e in edges)
-    assert cap[:2 * grid.m] == list(grid.closed[:2 * grid.m])
-    return [(e, grid.to[e ^ 1], grid.to[e]) for e in edges]
+    checking each opens at the cache's bound."""
+    cache = ProfileCache(net)
+    cap = cache.capacities(TerminalSet.of_nodes(net, nodes).bits)
+    edges = [e for e in range(2 * cache.m, len(cap), 2) if cap[e]]
+    assert all(cap[e] == cache.bound for e in edges)
+    assert cap[:2 * cache.m] == list(cache.closed[:2 * cache.m])
+    return [(e, cache.to[e ^ 1], cache.to[e]) for e in edges]
 
 
 class TestExtendedNetwork:
@@ -34,7 +33,7 @@ class TestExtendedNetwork:
         net = single_arc_network()
         # super source feeds the one source, the one sink drains to super sink
         assert opened(net, [0]) == [(2, 2, 0), (4, 1, 3)]
-        assert IntegerGrid(net).bound == net.capacity_bound == 1
+        assert ProfileCache(net).bound == net.capacity_bound == 1
 
     def test_instance_b_both_sources(self):
         net = instance_b_network()
@@ -48,24 +47,24 @@ class TestExtendedNetwork:
 
     def test_shared_layout(self):
         net = instance_b_network()
-        grid = IntegerGrid(net)
+        cache = ProfileCache(net)
         # arcs 0-1 are the base arcs, 2-3 the source hookups from super
         # source 3, 4 the sink's drain into super sink 4; arc i is edge 2i,
         # its reverse 2i + 1, and every auxiliary edge starts closed
-        assert grid.to == (2, 0, 2, 1, 0, 3, 1, 3, 4, 2)
-        assert grid.cost == (0, 0, 1, -1, 0, 0, 0, 0, 0, 0)
-        assert grid.closed == (2, 0, 1, 0, 0, 0, 0, 0, 0, 0)
-        assert grid.adj == ((0, 5), (2, 7), (1, 3, 8), (4, 6), (9,))
+        assert cache.to == (2, 0, 2, 1, 0, 3, 1, 3, 4, 2)
+        assert cache.cost == (0, 0, 1, -1, 0, 0, 0, 0, 0, 0)
+        assert cache.closed == (2, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+        assert cache.adj == ((0, 5), (2, 7), (1, 3, 8), (4, 6), (9,))
         # terminal i's auxiliary arc is arc m + i; bit 2, the sink, opens
         # its arc when it is outside the subset
-        assert (grid.m, grid.sink_bits) == (2, 0b100)
+        assert (cache.m, cache.sink_bits) == (2, 0b100)
 
     def test_original_arcs_preserved(self):
         net = instance_b_network()
-        grid = IntegerGrid(net)
-        to, cost, closed = grid.to, grid.cost, grid.closed
-        assert [(to[2 * i + 1], to[2 * i], F(closed[2 * i], grid.rate_scale),
-                 F(cost[2 * i], grid.time_scale)) for i in range(grid.m)] \
+        cache = ProfileCache(net)
+        to, cost, closed = cache.to, cache.cost, cache.closed
+        assert [(to[2 * i + 1], to[2 * i], F(closed[2 * i], cache.rate_scale),
+                 F(cost[2 * i], cache.time_scale)) for i in range(cache.m)] \
             == [(a.tail, a.head, a.capacity, a.transit) for a in net.arcs]
 
 
@@ -130,10 +129,10 @@ def test_tie_heavy_profiles_match_reference(seed):
                             max_tau=1 + seed % 3, max_b=10, seed=seed)
     doc["arcs"] += doc["arcs"][::3]
     network, _ = parse_instance(doc)
-    grid = IntegerGrid(network)
+    cache = ProfileCache(network)
     for bits in range(1 << k):
         subset = TerminalSet(bits, k)
-        profile = compute_profile(network, subset, grid)
+        profile = compute_profile(network, subset, cache=cache)
         assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
             == reference_profile(network, subset)
 
@@ -203,7 +202,9 @@ class TestProfileCache:
                      lambda: solve_newton_simple(net, b, cache=other),
                      lambda: solve_newton_jumps(net, b, cache=other),
                      lambda: theta_star_bruteforce(net, b, cache=other),
-                     lambda: classify_iterations(result, net, cache=other)):
+                     lambda: classify_iterations(result, net, cache=other),
+                     lambda: compute_profile(net, TerminalSet(1, net.k),
+                                             cache=other)):
             with pytest.raises(ValueError, match="another network"):
                 call()
         # an equal network built separately shares the cache
