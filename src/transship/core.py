@@ -48,6 +48,10 @@ MAX_TERMINALS = 62
 # a solve at this size stays near 25 MB, one at 10^9 nodes runs out of memory.
 MAX_NODES = 100_000
 
+# Arc-count ceiling, checked beside MAX_NODES before any per-arc allocation:
+# generating 10^6 arcs took 11 s and 1.1 GB, so 10^8 would run out of memory.
+MAX_ARCS = 1_000_000
+
 
 def parse_rational(text) -> Rat:
     """Parse ``"p/q"``, a bare integer, or an int into a normalized rational.

@@ -3,7 +3,7 @@
 Every error that can escape the library API derives from TransshipError so
 callers (and the CLI) can map failures to outcomes without matching on
 message strings.  Every cap (terminals for subset enumeration, instance
-nodes, time-expansion copies) fails with the one ResourceCapExceeded.
+nodes and arcs, time-expansion copies) fails with the one ResourceCapExceeded.
 """
 
 
@@ -61,8 +61,8 @@ class ResourceCapExceeded(TransshipError):
 
     ``needed`` is the count, ``what`` the thing counted and ``cap`` the
     limit: "terminals" for subset enumeration (a ``ProfileCache``'s subset
-    cap, 2^k subsets), "nodes" for ``MAX_NODES``, and "node copies" or "arc
-    copies" for a time expansion's node cap.
+    cap, 2^k subsets), "nodes" for ``MAX_NODES``, "arcs" for ``MAX_ARCS``,
+    and "node copies" or "arc copies" for a time expansion's node cap.
     """
 
     _FLAGS = {"terminals": "--bf-cap", "node copies": "--expansion-cap",

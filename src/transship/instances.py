@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 import random
 
-from .core import (MAX_NODES, Arc, FlowNetwork, Rat, SupplyVector,
-                   format_rational, parse_rational)
+from .core import (MAX_ARCS, MAX_NODES, MAX_TERMINALS, Arc, FlowNetwork, Rat,
+                   SupplyVector, format_rational, parse_rational)
 from .errors import InstanceFormatError, ResourceCapExceeded
 
 __all__ = [
@@ -90,6 +90,8 @@ def parse_instance(doc) -> tuple[FlowNetwork, SupplyVector]:
     raw_arcs = _field(doc, "arcs", "")
     if not isinstance(raw_arcs, list):
         raise InstanceFormatError("arcs must be a list")
+    if len(raw_arcs) > MAX_ARCS:
+        raise ResourceCapExceeded(len(raw_arcs), MAX_ARCS, "arcs")
     for i, raw in enumerate(raw_arcs):
         where = "arcs[%d]" % i
         if not isinstance(raw, dict):
@@ -190,14 +192,21 @@ def generate_instance(n: int, m: int, k: int, max_u: int, max_tau: int,
     source ahead of every sink, which guarantees each source reaches each
     sink through positive-capacity arcs; a finite answer therefore always
     exists.  Supplies and demands are balanced integers within ``max_b``.
-    More than ``MAX_NODES`` nodes raise ResourceCapExceeded, as parsing does.
+    More than ``MAX_NODES`` nodes or ``MAX_ARCS`` arcs raise
+    ResourceCapExceeded, as parsing does, and more than ``MAX_TERMINALS``
+    terminals raise ValueError, as ``validate_instance`` words it.
     """
     if n < 2:
         raise ValueError("need at least 2 nodes, got %d" % n)
     if n > MAX_NODES:
         raise ResourceCapExceeded(n, MAX_NODES, "nodes")
+    if m > MAX_ARCS:
+        raise ResourceCapExceeded(m, MAX_ARCS, "arcs")
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n terminals, got k=%d, n=%d" % (k, n))
+    if k > MAX_TERMINALS:
+        raise ValueError("instance has %d terminals, over the bit-set limit of %d"
+                         % (k, MAX_TERMINALS))
     if m < n - 1:
         raise ValueError("need at least n-1 arcs for connectivity, got %d" % m)
     if max_u < 1 or max_b < 1 or max_tau < 0:

@@ -17,25 +17,19 @@ convex in the deadline.  Each segment carries a certificate: a -1/0/+1 vector
 over the original arcs (forward/backward use on the augmenting path) whose
 inner product with the transit times reproduces the segment length exactly.
 
-The search runs on Python ints.  Each instance is put on an integer grid
-once, by its ``ProfileCache``: transit times are multiplied by the lcm of
-their denominators, capacities by the lcm of theirs.  Scaling by positive
-constants keeps every comparison, so the integer search takes exactly the
-paths a rational one would, and a returned profile holds the same exact
-rational segments.  Ties in the shortest-path search are broken by node id
-so repeated runs produce identical profiles.
-
-The cache also holds the one residual layout every subset's search shares:
-flat edge arrays in which edge ``e`` pairs with its reverse ``e ^ 1``, the
-m base arcs first and then terminal i's auxiliary arc as arc m + i, all
-closed.  A subset's search starts from ``ProfileCache.capacities``, a copy
-with the auxiliary arcs of its own sources and of the sinks outside it open.
-Each Dijkstra search stops as soon as it settles the super sink; it finds
-the same path, and leaves the same potentials, as a search run to
-exhaustion would (see ``compute_profile``).
+The search runs on Python ints, and a profile keeps ints only.  Each
+instance is put on an integer grid once, by its ``ProfileCache``, which
+also holds the residual layout every subset's search shares.  Scaling by
+positive constants keeps every comparison, so the integer search takes
+exactly the paths a rational one would; the exact rational segments,
+certificates included, are built from a profile's ints when first read.
+Ties are broken by node id so repeated runs produce identical profiles.
+A subset's first path comes from one search shared by every subset with
+the same sources, and each later search stops once it settles the super
+sink; both give what a search run to exhaustion would (``compute_profile``).
 
 The cache holds the subset cap as well, 16 terminals by default (one
-16-terminal solve took 30 s and 350 MB).  Whatever enumerates all 2^k
+16-terminal solve took 10.5 s and 92 MB).  Whatever enumerates all 2^k
 subsets does so through ``ProfileCache.subsets``, which checks the cap;
 single profiles stay uncapped.
 """
@@ -45,19 +39,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .core import FlowNetwork, Rat, SupplyVector, TerminalSet
 from .errors import InvariantViolation, ResourceCapExceeded
 
-__all__ = [
-    "DEFAULT_SUBSET_CAP",
-    "Segment",
-    "FlowProfile",
-    "compute_profile",
-    "ProfileCache",
-    "cache_for",
-]
+__all__ = ["DEFAULT_SUBSET_CAP", "Segment", "FlowProfile", "compute_profile",
+           "ProfileCache", "cache_for"]
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -82,69 +71,104 @@ class Segment:
 @dataclass(frozen=True)
 class FlowProfile:
     """Ordered augmentation segments for one terminal subset, found by
-    searching until no augmenting path remains.
+    searching until no augmenting path remains, kept on the cache's grid.
 
-    ``compute_profile`` also records the segments on the cache's integer
-    grid, for the envelope: ``lengths`` in units of
-    1/time_scale, and prefix sums of amount (units of 1/rate_scale) and of
-    amount * length, where entry j sums the first j segments.
+    ``lengths`` are in units of 1/time_scale; ``amount_sums`` and
+    ``moment_sums`` are prefix sums of amount (units of 1/rate_scale) and of
+    amount * length, where entry j sums the first j segments.  ``paths[j]``
+    holds the base edges of segment j's path: edge e is arc ``e >> 1``,
+    used in reverse when ``e & 1``.  ``segments``, with exact rationals and
+    a certificate over all m arcs per segment, is built on first read.
     """
 
-    segments: tuple[Segment, ...]
     lengths: tuple[int, ...]
     amount_sums: tuple[int, ...]
     moment_sums: tuple[int, ...]
+    paths: tuple[tuple[int, ...], ...]
+    time_scale: int
+    rate_scale: int
+    m: int
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        out = []
+        for j, path in enumerate(self.paths):
+            certificate = [0] * self.m
+            for e in path:
+                certificate[e >> 1] = -1 if e & 1 else 1
+            amount = self.amount_sums[j + 1] - self.amount_sums[j]
+            out.append(Segment(Fraction(self.lengths[j], self.time_scale),
+                               Fraction(amount, self.rate_scale), tuple(certificate)))
+        return tuple(out)
+
+
+def _search(adj, cap, pot, s: int, t: int, far: int):
+    """Dijkstra on reduced costs from ``s``, stopped once ``t`` is settled:
+    distances (``far`` where not reached), parent edges and the settled nodes
+    in order.  A heap entry is the int ``dist * size + node``, ordered as
+    ``(dist, node)`` since reduced distances are nonnegative, and parents
+    change only on strict improvement, so the result is deterministic."""
+    size = len(adj)
+    dist = [far] * size
+    parent = [None] * size
+    dist[s] = 0
+    heap = [s]
+    settled = []
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        key = pop(heap)
+        u = key % size
+        d = key // size
+        if d > dist[u]:
+            continue
+        settled.append(u)
+        if u == t:
+            break
+        base = d + pot[u]
+        for e, v, c in adj[u]:
+            if cap[e] > 0:
+                nd = base + c - pot[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = e
+                    push(heap, nd * size + v)
+    return dist, parent, settled
 
 
 def compute_profile(network: FlowNetwork, subset: TerminalSet, *,
                     cache: ProfileCache | None = None) -> FlowProfile:
     """Run successive shortest paths to exhaustion for one subset.
 
-    The search runs on ``cache``'s layout, checked by ``cache_for``;
-    ``ProfileCache.profile`` passes itself, so an instance is scaled once
-    however many subsets it has.
+    The search runs on ``cache``'s layout, checked by ``cache_for``.  Each
+    round finds a shortest path from the super source ``s`` to the super
+    sink ``t`` on reduced costs and pushes its bottleneck.  Stopping a
+    search once ``t`` is settled changes neither the path nor the potentials:
+    nodes settled before ``t`` hold their final distance, and every other
+    node's final and tentative distance are both at least ``t``'s distance
+    d, so the potential update ``min(distance, d)`` is the same.
 
-    Each round runs Dijkstra on reduced costs from the super source ``s``,
-    stopped when the super sink ``t`` is settled, then pushes the bottleneck
-    along the parent path.  Equal-distance heap ties resolve by node id, and
-    parents only change on strict improvement, so the chosen path is a
-    deterministic function of the residual state.  Stopping at ``t``
-    changes neither the path nor the potentials: nodes settled before ``t``
-    hold their final distance, and every other node's final and tentative
-    distance are both at least ``t``'s distance d, so ``min(distance, d)``,
-    the potential update, is the same.
+    The first round is read off ``ProfileCache._first_search`` for the
+    subset's sources, which keeps every sink arc closed.  With the arcs of
+    the sinks outside the subset open, a search settles nodes in the same
+    order until it pops ``t``, reached from the first of those sinks it
+    settled (pop order, not node id: a zero-length arc can put a sink behind
+    another at the same distance).  Without such a sink the profile is empty.
     """
     cache = cache_for(network, cache)
-    adj, to, cost, m = cache.adj, cache.to, cache.cost, cache.m
-    cap = cache.capacities(_bits(network, subset))
-    pot = [0] * len(adj)
-    s, t = network.node_count, network.node_count + 1
-    pop, push = heapq.heappop, heapq.heappush
-    segments, lengths, amount_sums, moment_sums = [], [], [0], [0]
-    while True:
-        dist = [None] * len(adj)
-        parent = [None] * len(adj)
-        dist[s] = 0
-        heap = [(0, s)]
-        while heap:
-            d, u = pop(heap)
-            if d > dist[u]:
-                continue
-            if u == t:
-                break
-            base = d + pot[u]
-            for e in adj[u]:
-                if cap[e] > 0:
-                    v = to[e]
-                    nd = base + cost[e] - pot[v]
-                    old = dist[v]
-                    if old is None or nd < old:
-                        dist[v] = nd
-                        parent[v] = e
-                        push(heap, (nd, v))
-        else:
+    bits = _bits(network, subset)
+    to, far, s, t = cache.to, cache.far, network.node_count, network.node_count + 1
+    dist, parent, sinks = cache._first_search(bits & ~cache.sink_bits)
+    dist, parent = list(dist), list(parent)
+    for i in sinks:
+        if not bits >> i & 1:
+            parent[t] = 2 * (cache.m + i)
+            dist[t] = dist[to[parent[t] ^ 1]]
             break
-        pot = [p + (d if dv is None or dv > d else dv) for p, dv in zip(pot, dist)]
+    cap, pot = cache.capacities(bits), [0] * (t + 1)
+    paths, lengths, amount_sums, moment_sums = [], [], [0], [0]
+    while dist[t] < far:
+        d = dist[t]
+        pot = [p + (dv if dv < d else d) for p, dv in zip(pot, dist)]
         length = pot[t] - pot[s]
         path = []
         v = t
@@ -152,34 +176,32 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet, *,
             e = parent[v]
             path.append(e)
             v = to[e ^ 1]
-        amount = min(cap[e] for e in path)
-        certificate = [0] * m
+        amount = min([cap[e] for e in path])
         for e in path:
             cap[e] -= amount
             cap[e ^ 1] += amount
-            if e < 2 * m:
-                certificate[e >> 1] = -1 if e & 1 else 1
-        # A simple path crosses each original arc at most once, so the
-        # certificate must reproduce the length exactly.
-        if sum(cost[2 * i] * c for i, c in enumerate(certificate) if c) != length:
+        # The path runs from s through one source's aux arc and base arcs,
+        # then one sink's aux arc into t.  A simple path crosses each base
+        # arc at most once, so the certificate must reproduce the length.
+        path = tuple(path[-2:0:-1])
+        if (len({e >> 1 for e in path}) < len(path)
+                or sum([cache.cost[e] for e in path]) != length):
             raise InvariantViolation(
                 "segment %d of subset %#x: certificate does not reproduce "
-                "its length" % (len(segments), subset.bits))
+                "its length" % (len(paths), subset.bits))
         if amount <= 0:
             raise InvariantViolation("segment %d of subset %#x carries no flow"
-                                     % (len(segments), subset.bits))
+                                     % (len(paths), subset.bits))
         if lengths and length < lengths[-1]:
             raise InvariantViolation("segment %d of subset %#x is shorter than "
-                                     "the one before" % (len(segments), subset.bits))
-        segments.append(Segment(Fraction(length, cache.time_scale),
-                                Fraction(amount, cache.rate_scale),
-                                tuple(certificate)))
+                                     "the one before" % (len(paths), subset.bits))
+        paths.append(path)
         lengths.append(length)
         amount_sums.append(amount_sums[-1] + amount)
         moment_sums.append(moment_sums[-1] + amount * length)
-    return FlowProfile(segments=tuple(segments), lengths=tuple(lengths),
-                       amount_sums=tuple(amount_sums),
-                       moment_sums=tuple(moment_sums))
+        dist, parent, _ = _search(cache.adj, cap, pot, s, t, far)
+    return FlowProfile(tuple(lengths), tuple(amount_sums), tuple(moment_sums),
+                       tuple(paths), cache.time_scale, cache.rate_scale, cache.m)
 
 
 class ProfileCache:
@@ -189,20 +211,21 @@ class ProfileCache:
     Transit times are multiplied by ``time_scale``, the lcm of their
     denominators, and capacities by ``rate_scale``, the lcm of theirs.
     ``bound``, the sum of the scaled capacities, is the capacity of an open
-    auxiliary arc.
+    auxiliary arc; ``far``, the sum of the scaled transit times plus one,
+    exceeds every reduced distance and marks a node no search reached.
 
     The layout has the m base arcs first, in index order, then one auxiliary
     arc per terminal: arc m + i is terminal i's, from the super source ``n``
     to a source, or from a sink to the super sink ``n + 1``.  Arc i is edge
     2i and its reverse edge 2i + 1, so edge ``e`` pairs with ``e ^ 1``;
     ``to`` and ``cost`` are indexed by edge, and ``adj`` lists each node's
-    edges in that order.  ``closed`` is the capacity of every edge with the
-    auxiliary arcs closed (capacity 0).  A subset S opens terminal i's arc
-    when i being a source equals i being in S, that is for each set bit of
-    ``S ^ sink_bits`` (``capacities``).  A search skips a closed edge as it
-    skips a saturated one, so the open edges keep the relative order a
-    layout of the base arcs and S's auxiliary arcs alone would give them,
-    and ties resolve as they would there.
+    edges in that order as ``(edge, head, cost)``.  ``closed`` is the
+    capacity of every edge with the auxiliary arcs closed (capacity 0).  A
+    subset S opens terminal i's arc when i being a source equals i being in
+    S, that is for each set bit of ``S ^ sink_bits`` (``capacities``).  A
+    search skips a closed edge as it skips a saturated one, so the open
+    edges keep the relative order a layout of the base arcs and S's
+    auxiliary arcs alone would give them, and ties resolve as they would.
 
     Profiles are keyed by subset bit pattern.  ``subsets`` enumerates them
     all, up to ``subset_cap`` terminals.
@@ -214,6 +237,7 @@ class ProfileCache:
         self.subset_cap = subset_cap
         self._profiles: dict[int, FlowProfile] = {}
         self._needs: dict[SupplyVector, tuple[int, list[int]]] = {}
+        self._first: dict[int, tuple] = {}
         lt = math.lcm(*(a.transit.denominator for a in network.arcs))
         lc = math.lcm(*(a.capacity.denominator for a in network.arcs))
         self.time_scale, self.rate_scale = lt, lc
@@ -228,14 +252,15 @@ class ProfileCache:
         to, costs, closed = [], [], []
         adj = [[] for _ in range(n + 2)]
         for tail, head, cap, cost in arcs:
-            adj[tail].append(len(to))
-            adj[head].append(len(to) + 1)
+            adj[tail].append((len(to), head, cost))
+            adj[head].append((len(to) + 1, tail, -cost))
             to += (head, tail)
             costs += (cost, -cost)
             closed += (cap, 0)
         self.to, self.cost, self.closed = tuple(to), tuple(costs), tuple(closed)
         self.adj = tuple(map(tuple, adj))
         self.bound = sum(closed[0::2])
+        self.far = sum(costs[0::2]) + 1
 
     def capacities(self, bits: int) -> list[int]:
         """The residual capacities subset ``bits`` starts from: ``closed``
@@ -248,6 +273,21 @@ class ProfileCache:
             cap[2 * (self.m + low.bit_length() - 1)] = self.bound
             opened ^= low
         return cap
+
+    def _first_search(self, sources: int) -> tuple[list, list, tuple[int, ...]]:
+        """Distances, parent edges and the sinks' terminal indices in the
+        order settled, of one search from the super source run to exhaustion
+        with the arcs of source bits ``sources`` open and every sink arc
+        closed; memoized."""
+        hit = self._first.get(sources)
+        if hit is None:
+            net, n = self.network, self.network.node_count
+            dist, parent, settled = _search(self.adj, self.capacities(sources | self.sink_bits),
+                                            [0] * (n + 2), n, n + 1, self.far)
+            index = dict(zip(net.sinks, range(len(net.sources), net.k)))
+            hit = self._first[sources] = (dist, parent,
+                                          tuple(index[v] for v in settled if v in index))
+        return hit
 
     def subsets(self) -> range:
         """Every terminal bit set, 0 to 2^k - 1; raises ResourceCapExceeded

@@ -261,6 +261,23 @@ class TestGen:
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "resource-cap"
 
+    def test_arc_cap(self, capsys):
+        code, out, err = run(capsys, "gen", "--n", "10", "--m", "1000001",
+                             "--k", "2")
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "resource-cap"
+        assert error["message"] == "1000001 arcs exceed the cap at 1000000"
+
+    def test_terminals_over_bit_set_limit(self, capsys):
+        # solve would refuse the document with exit 2, so gen does not write it
+        code, out, err = run(capsys, "gen", "--n", "100", "--m", "120",
+                             "--k", "70")
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "input"
+        assert "70 terminals, over the bit-set limit of 62" in error["message"]
+
 
 class TestInputChecks:
     def test_negative_bf_cap(self, capsys, instance_file):
@@ -347,13 +364,13 @@ import sys
 assert False, "assertions are on; this must run under -O"
 from transship import cli, ssp
 if sys.argv[1] == "segment-length":
-    # Every forward auxiliary edge takes time, which no certificate over
-    # the base arcs can witness.
+    # Every forward auxiliary edge takes time in the costs the search reads,
+    # which no certificate over the base arcs can witness.
     real = ssp.ProfileCache.__init__
     def wrong(self, network, **kwargs):
         real(self, network, **kwargs)
-        self.cost = tuple(c + 1 if e >= 2 * self.m and not e & 1 else c
-                          for e, c in enumerate(self.cost))
+        self.adj = tuple(tuple((e, v, c + 1 if e >= 2 * self.m and not e & 1 else c)
+                               for e, v, c in edges) for edges in self.adj)
     ssp.ProfileCache.__init__ = wrong
 else:
     real = cli.solve_newton_simple

@@ -122,9 +122,9 @@ class TestBreakpoints:
         assert breakpoints(arc_profile) == (F(2),)
 
     def test_deduplicated_and_sorted(self):
-        prof = FlowProfile(segments=(Segment(F(1), F(1), (1,)),
-                                     Segment(F(1), F(2), (1,)),
-                                     Segment(F(3), F(1), (1,))),
-                           lengths=(1, 1, 3), amount_sums=(0, 1, 3, 4),
-                           moment_sums=(0, 1, 3, 6))
+        prof = FlowProfile(lengths=(1, 1, 3), amount_sums=(0, 1, 3, 4),
+                           moment_sums=(0, 1, 3, 6), paths=((0,), (0,), (0,)),
+                           time_scale=1, rate_scale=1, m=1)
+        assert prof.segments == (Segment(F(1), F(1), (1,)), Segment(F(1), F(2), (1,)),
+                                 Segment(F(3), F(1), (1,)))
         assert breakpoints(prof) == (F(1), F(3))

@@ -9,6 +9,7 @@ from transship import (MAX_NODES, InstanceFormatError, ResourceCapExceeded,
                        dump_document, generate_instance, parse_instance,
                        serialize_instance, sources_reach_sinks,
                        validate_instance)
+from transship.core import MAX_ARCS, MAX_TERMINALS
 from conftest import instance_b_network, instance_b_supply
 
 
@@ -85,6 +86,14 @@ class TestParsing:
         assert (err.value.needed, err.value.cap) == (10 ** 9, MAX_NODES)
         doc["nodes"] = MAX_NODES
         assert parse_instance(doc)[0].node_count == MAX_NODES
+
+    def test_arc_count_capped(self):
+        # refused before any arc is read, so these empty entries never are
+        doc = {"nodes": 2, "arcs": [{}] * (MAX_ARCS + 1), "sources": [], "sinks": []}
+        with pytest.raises(ResourceCapExceeded) as err:
+            parse_instance(doc)
+        assert (err.value.needed, err.value.cap, err.value.what) \
+            == (MAX_ARCS + 1, MAX_ARCS, "arcs")
 
     def test_unknown_field_path(self):
         edits = {
@@ -175,6 +184,21 @@ class TestGenerator:
             generate_instance(n=MAX_NODES + 1, m=MAX_NODES, k=2, max_u=5,
                               max_tau=5, max_b=5, seed=0)
         assert (err.value.needed, err.value.cap) == (MAX_NODES + 1, MAX_NODES)
+
+    def test_arc_count_capped(self):
+        with pytest.raises(ResourceCapExceeded) as err:
+            generate_instance(n=10, m=MAX_ARCS + 1, k=2, max_u=5, max_tau=5,
+                              max_b=5, seed=0)
+        assert (err.value.needed, err.value.cap, err.value.what) \
+            == (MAX_ARCS + 1, MAX_ARCS, "arcs")
+
+    def test_terminal_count_capped(self):
+        # worded as validate_instance words it for a parsed instance
+        message = "instance has %d terminals, over the bit-set limit of %d" \
+            % (MAX_TERMINALS + 8, MAX_TERMINALS)
+        with pytest.raises(ValueError, match=message):
+            generate_instance(n=100, m=120, k=MAX_TERMINALS + 8, max_u=5,
+                              max_tau=5, max_b=5, seed=0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10 ** 6),

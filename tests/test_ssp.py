@@ -7,6 +7,7 @@ from transship import (ProfileCache, ResourceCapExceeded, SupplyVector,
                        generate_instance, minimize_slack, parse_instance,
                        solve_newton_jumps, solve_newton_simple,
                        theta_star_bruteforce)
+from transship import solver, ssp
 from transship.bench import corpus_instance
 from transship.horizon import all_breakpoints
 from conftest import instance_b_network, instance_b_supply, single_arc_network
@@ -54,7 +55,10 @@ class TestExtendedNetwork:
         assert cache.to == (2, 0, 2, 1, 0, 3, 1, 3, 4, 2)
         assert cache.cost == (0, 0, 1, -1, 0, 0, 0, 0, 0, 0)
         assert cache.closed == (2, 0, 1, 0, 0, 0, 0, 0, 0, 0)
-        assert cache.adj == ((0, 5), (2, 7), (1, 3, 8), (4, 6), (9,))
+        # adj lists each node's edges as (edge, head, cost)
+        assert cache.adj == (((0, 2, 0), (5, 3, 0)), ((2, 2, 1), (7, 3, 0)),
+                             ((1, 0, 0), (3, 1, -1), (8, 4, 0)),
+                             ((4, 0, 0), (6, 1, 0)), ((9, 2, 0),))
         # terminal i's auxiliary arc is arc m + i; bit 2, the sink, opens
         # its arc when it is outside the subset
         assert (cache.m, cache.sink_bits) == (2, 0b100)
@@ -113,7 +117,7 @@ class TestProfiles:
                     assert total == seg.length
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(12))
 def test_tie_heavy_profiles_match_reference(seed):
     """Every subset's profile on an instance full of equal-length paths
     equals the rational reference, which runs each search to exhaustion on
@@ -122,11 +126,16 @@ def test_tie_heavy_profiles_match_reference(seed):
     Short transit times and a parallel copy of every third arc make many
     shortest paths tie, so the path each search picks, and with it the
     certificates, depends on the heap's tie-break by node id and on the
-    order in which a node's edges are scanned.
+    order in which a node's edges are scanned.  Seeds 6-11 repeat seeds 0-5
+    with every transit time zero: every path ties, and a sink can be
+    settled behind another at the same distance, so the first path, shared
+    by all subsets with the same sources, must go to the sink settled first.
     """
+    zero_transit, seed = seed >= 6, seed % 6
     k = 6 + seed % 3
     doc = generate_instance(n=k + 3, m=3 * (k + 3), k=k, max_u=4,
-                            max_tau=1 + seed % 3, max_b=10, seed=seed)
+                            max_tau=0 if zero_transit else 1 + seed % 3,
+                            max_b=10, seed=seed)
     doc["arcs"] += doc["arcs"][::3]
     network, _ = parse_instance(doc)
     cache = ProfileCache(network)
@@ -135,6 +144,53 @@ def test_tie_heavy_profiles_match_reference(seed):
         profile = compute_profile(network, subset, cache=cache)
         assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
             == reference_profile(network, subset)
+
+
+class TestLazySegments:
+    """A profile's rational ``Segment``s are built only when something reads
+    them; on the solve path that is ``value_at``'s re-check of each envelope
+    minimizer, while crossings, slopes and the envelope read grid ints."""
+
+    @staticmethod
+    def instance():
+        # k = 8; its 256 subset profiles hold 533 segments
+        return parse_instance(generate_instance(n=12, m=24, k=8, max_u=10, max_tau=10,
+                                                max_b=30, seed=1))
+
+    @staticmethod
+    def count_segments(monkeypatch):
+        built, real = [], ssp.Segment
+
+        def segment(*args):
+            built.append(args)
+            return real(*args)
+        monkeypatch.setattr(ssp, "Segment", segment)
+        return built
+
+    def test_solve_builds_only_what_it_reads(self, monkeypatch):
+        net, b = self.instance()
+        minimizers, envelope = set(), solver.minimize_slack
+
+        def recorded(*args, **kwargs):
+            minimum = envelope(*args, **kwargs)
+            minimizers.add(minimum.subset.bits)
+            return minimum
+        monkeypatch.setattr(solver, "minimize_slack", recorded)
+        built = self.count_segments(monkeypatch)
+        cache = ProfileCache(net)
+        result = solve_newton_jumps(net, b, cache=cache)
+        count = len(built)
+        read = minimizers | {record.subset.bits for record in result.trace}
+        bound = sum(len(cache.profile(bits).lengths) for bits in read)
+        total = sum(len(cache.profile(bits).lengths) for bits in cache.subsets())
+        assert 0 < count <= bound and 20 * bound < total
+
+    def test_bruteforce_builds_none(self, monkeypatch):
+        net, b = self.instance()
+        built = self.count_segments(monkeypatch)
+        star = theta_star_bruteforce(net, b, cache=ProfileCache(net))
+        assert built == []
+        assert star == solve_newton_jumps(net, b).theta_star
 
 
 class TestProfileCache:
