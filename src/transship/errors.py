@@ -3,7 +3,8 @@
 Every error that can escape the library API derives from TransshipError so
 callers (and the CLI) can map failures to outcomes without matching on
 message strings.  Every cap (terminals for subset enumeration, instance
-nodes and arcs, time-expansion copies) fails with the one ResourceCapExceeded.
+nodes and arcs, scale bits, time-expansion copies) fails with the one
+ResourceCapExceeded.
 """
 
 
@@ -62,7 +63,9 @@ class ResourceCapExceeded(TransshipError):
     ``needed`` is the count, ``what`` the thing counted and ``cap`` the
     limit: "terminals" for subset enumeration (a ``ProfileCache``'s subset
     cap, 2^k subsets), "nodes" for ``MAX_NODES``, "arcs" for ``MAX_ARCS``,
-    and "node copies" or "arc copies" for a time expansion's node cap.
+    "scale bits" for ``MAX_SCALE_BITS`` (the lcm of an instance's
+    denominators), and "node copies" or "arc copies" for a time expansion's
+    node cap.
     """
 
     _FLAGS = {"terminals": "--bf-cap", "node copies": "--expansion-cap",

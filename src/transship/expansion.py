@@ -37,14 +37,13 @@ against the instance from scratch.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .core import Arc, FlowNetwork, Rat, SupplyVector, TerminalSet
+from .core import Arc, FlowNetwork, Rat, SupplyVector, TerminalSet, scale_lcm
 from .errors import InfeasibleDeadline, ResourceCapExceeded
 
 __all__ = [
@@ -73,9 +72,7 @@ def scale_to_integral(network: FlowNetwork, theta: Rat):
     theta = Fraction(theta)
     if theta < 0:
         raise ValueError("deadline must be nonnegative, got %s" % theta)
-    q = theta.denominator
-    for a in network.arcs:
-        q = math.lcm(q, a.transit.denominator)
+    q = scale_lcm([theta.denominator, *(a.transit.denominator for a in network.arcs)])
     scaled = FlowNetwork(
         node_count=network.node_count,
         arcs=tuple(Arc(a.tail, a.head, a.capacity / q, a.transit * q)
@@ -176,8 +173,8 @@ def build_time_expanded(network: FlowNetwork, b: SupplyVector, steps: int, *,
     _check_expandable(network, steps, node_cap)
     n = network.node_count
     n_src = len(network.sources)
-    scale = math.lcm(*(a.capacity.denominator for a in network.arcs),
-                     *(x.denominator for x in b.values))
+    scale = scale_lcm([*(a.capacity.denominator for a in network.arcs),
+                       *(x.denominator for x in b.values)])
     total = int(b.total_supply() * scale)
     live = [(a.tail, a.head, int(a.transit)) for a in network.arcs
             if a.capacity > 0]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FlowNetwork, Rat, SupplyVector, TerminalSet, net_supply
-from .errors import InvariantViolation
+from .errors import InfeasibleForever, InvariantViolation
 from .horizon import all_breakpoints, crossing_time, slope_left
 from .sfm import minimize_slack
 from .ssp import ProfileCache, cache_for
@@ -171,15 +171,16 @@ def theta_star_bruteforce(network: FlowNetwork, b: SupplyVector, *,
     machinery, which makes it a trustworthy oracle.
     """
     cache = cache_for(network, cache)
-    k = network.k
+    supply_scale, table = cache.need_table(b)
+    unit = supply_scale * cache.rate_scale * cache.time_scale
     best = Fraction(0)
     for bits in cache.subsets():
-        subset = TerminalSet(bits, k)
-        need = net_supply(b, subset)
-        if need <= 0:
+        if table[bits] <= 0:
             continue
-        crossing = crossing_time(cache.profile(bits), need,
-                                 nodes=subset.nodes(network))
+        profile, need = cache.profile(bits), Fraction(table[bits], unit)
+        if not profile.lengths:
+            raise InfeasibleForever(TerminalSet(bits, network.k).nodes(network), need)
+        crossing = crossing_time(profile, need)
         if crossing > best:
             best = crossing
     return best

@@ -18,31 +18,29 @@ over the original arcs (forward/backward use on the augmenting path) whose
 inner product with the transit times reproduces the segment length exactly.
 
 The search runs on Python ints, and a profile keeps ints only.  Each
-instance is put on an integer grid once, by its ``ProfileCache``, which
-also holds the residual layout every subset's search shares.  Scaling by
-positive constants keeps every comparison, so the integer search takes
-exactly the paths a rational one would; the exact rational segments,
-certificates included, are built from a profile's ints when first read.
-Ties are broken by node id so repeated runs produce identical profiles.
-A subset's first path comes from one search shared by every subset with
-the same sources, and each later search stops once it settles the super
-sink; both give what a search run to exhaustion would (``compute_profile``).
+instance is put on an integer grid once by its ``ProfileCache``, which also
+holds the residual layout.  Scaling by positive constants keeps every
+comparison, so the integer search takes the paths a rational one would; the
+rational segments and certificates are built from a profile's ints when
+first read.  Ties are broken by node id, so profiles are deterministic.
+The subsets with the same sources are built as one tree, one search per
+node (``ProfileCache``).  A subset's next path ends at its open sink of
+least distance plus potential, ties to the one settled first: the sink a
+search with that subset's own sink arcs open reaches the super sink from.
 
-The cache holds the subset cap as well, 16 terminals by default (one
-16-terminal solve took 10.5 s and 92 MB).  Whatever enumerates all 2^k
-subsets does so through ``ProfileCache.subsets``, which checks the cap;
-single profiles stay uncapped.
+The cache holds the subset cap as well, 16 terminals by default (a solve
+at k = 16 took 8.1 s and 76 MB).  Whatever enumerates all 2^k subsets goes
+through ``ProfileCache.subsets``, which checks the cap; one profile does not.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .core import FlowNetwork, Rat, SupplyVector, TerminalSet
+from .core import FlowNetwork, Rat, SupplyVector, TerminalSet, scale_lcm
 from .errors import InvariantViolation, ResourceCapExceeded
 
 __all__ = ["DEFAULT_SUBSET_CAP", "Segment", "FlowProfile", "compute_profile",
@@ -102,12 +100,11 @@ class FlowProfile:
         return tuple(out)
 
 
-def _search(adj, cap, pot, s: int, t: int, far: int):
-    """Dijkstra on reduced costs from ``s``, stopped once ``t`` is settled:
-    distances (``far`` where not reached), parent edges and the settled nodes
-    in order.  A heap entry is the int ``dist * size + node``, ordered as
-    ``(dist, node)`` since reduced distances are nonnegative, and parents
-    change only on strict improvement, so the result is deterministic."""
+def _search(adj, cap, pot, s: int, far: int):
+    """Dijkstra on reduced costs from ``s`` to exhaustion: distances (``far``
+    where not reached), parent edges and the nodes in settled order.  A heap
+    entry is the int ``dist * size + node``, ordered as ``(dist, node)``, and
+    parents change only on strict improvement, so the result is deterministic."""
     size = len(adj)
     dist = [far] * size
     parent = [None] * size
@@ -122,8 +119,6 @@ def _search(adj, cap, pot, s: int, t: int, far: int):
         if d > dist[u]:
             continue
         settled.append(u)
-        if u == t:
-            break
         base = d + pot[u]
         for e, v, c in adj[u]:
             if cap[e] > 0:
@@ -139,69 +134,17 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet, *,
                     cache: ProfileCache | None = None) -> FlowProfile:
     """Run successive shortest paths to exhaustion for one subset.
 
-    The search runs on ``cache``'s layout, checked by ``cache_for``.  Each
-    round finds a shortest path from the super source ``s`` to the super
-    sink ``t`` on reduced costs and pushes its bottleneck.  Stopping a
-    search once ``t`` is settled changes neither the path nor the potentials:
-    nodes settled before ``t`` hold their final distance, and every other
-    node's final and tentative distance are both at least ``t``'s distance
-    d, so the potential update ``min(distance, d)`` is the same.
-
-    The first round is read off ``ProfileCache._first_search`` for the
-    subset's sources, which keeps every sink arc closed.  With the arcs of
-    the sinks outside the subset open, a search settles nodes in the same
-    order until it pops ``t``, reached from the first of those sinks it
-    settled (pop order, not node id: a zero-length arc can put a sink behind
-    another at the same distance).  Without such a sink the profile is empty.
+    It is read off ``cache``'s tree (checked by ``cache_for``) for the
+    subset's sources, which builds every subset with those sources at once;
+    each path ends at the open sink of least distance plus potential, ties
+    to the one settled first (``ProfileCache`` says why).  Over the subset
+    cap, where nothing builds every subset, the walk takes this one alone.
     """
-    cache = cache_for(network, cache)
-    bits = _bits(network, subset)
-    to, far, s, t = cache.to, cache.far, network.node_count, network.node_count + 1
-    dist, parent, sinks = cache._first_search(bits & ~cache.sink_bits)
-    dist, parent = list(dist), list(parent)
-    for i in sinks:
-        if not bits >> i & 1:
-            parent[t] = 2 * (cache.m + i)
-            dist[t] = dist[to[parent[t] ^ 1]]
-            break
-    cap, pot = cache.capacities(bits), [0] * (t + 1)
-    paths, lengths, amount_sums, moment_sums = [], [], [0], [0]
-    while dist[t] < far:
-        d = dist[t]
-        pot = [p + (dv if dv < d else d) for p, dv in zip(pot, dist)]
-        length = pot[t] - pot[s]
-        path = []
-        v = t
-        while v != s:
-            e = parent[v]
-            path.append(e)
-            v = to[e ^ 1]
-        amount = min([cap[e] for e in path])
-        for e in path:
-            cap[e] -= amount
-            cap[e ^ 1] += amount
-        # The path runs from s through one source's aux arc and base arcs,
-        # then one sink's aux arc into t.  A simple path crosses each base
-        # arc at most once, so the certificate must reproduce the length.
-        path = tuple(path[-2:0:-1])
-        if (len({e >> 1 for e in path}) < len(path)
-                or sum([cache.cost[e] for e in path]) != length):
-            raise InvariantViolation(
-                "segment %d of subset %#x: certificate does not reproduce "
-                "its length" % (len(paths), subset.bits))
-        if amount <= 0:
-            raise InvariantViolation("segment %d of subset %#x carries no flow"
-                                     % (len(paths), subset.bits))
-        if lengths and length < lengths[-1]:
-            raise InvariantViolation("segment %d of subset %#x is shorter than "
-                                     "the one before" % (len(paths), subset.bits))
-        paths.append(path)
-        lengths.append(length)
-        amount_sums.append(amount_sums[-1] + amount)
-        moment_sums.append(moment_sums[-1] + amount * length)
-        dist, parent, _ = _search(cache.adj, cap, pot, s, t, far)
-    return FlowProfile(tuple(lengths), tuple(amount_sums), tuple(moment_sums),
-                       tuple(paths), cache.time_scale, cache.rate_scale, cache.m)
+    cache, bits = cache_for(network, cache), _bits(network, subset)
+    sources = bits & ~cache.sink_bits
+    if network.k > cache.subset_cap:
+        return cache._walk(sources, [bits])[bits]
+    return cache._grow(sources)[bits]
 
 
 class ProfileCache:
@@ -214,20 +157,29 @@ class ProfileCache:
     auxiliary arc; ``far``, the sum of the scaled transit times plus one,
     exceeds every reduced distance and marks a node no search reached.
 
-    The layout has the m base arcs first, in index order, then one auxiliary
-    arc per terminal: arc m + i is terminal i's, from the super source ``n``
-    to a source, or from a sink to the super sink ``n + 1``.  Arc i is edge
-    2i and its reverse edge 2i + 1, so edge ``e`` pairs with ``e ^ 1``;
-    ``to`` and ``cost`` are indexed by edge, and ``adj`` lists each node's
-    edges in that order as ``(edge, head, cost)``.  ``closed`` is the
-    capacity of every edge with the auxiliary arcs closed (capacity 0).  A
-    subset S opens terminal i's arc when i being a source equals i being in
-    S, that is for each set bit of ``S ^ sink_bits`` (``capacities``).  A
-    search skips a closed edge as it skips a saturated one, so the open
-    edges keep the relative order a layout of the base arcs and S's
-    auxiliary arcs alone would give them, and ties resolve as they would.
+    The layout has the m base arcs first, in index order, then arc m + i,
+    terminal i's auxiliary arc, from the super source ``n`` to a source or
+    from a sink to the super sink ``n + 1``.  Arc i is edge 2i, its reverse
+    edge 2i + 1; ``to`` and ``cost`` are indexed by edge, and ``adj`` lists
+    each node's edges in that order as ``(edge, head, cost)``.  ``closed``
+    is every edge's capacity with the auxiliary arcs closed (capacity 0).
+    Subset S opens terminal i's arc for each set bit i of ``S ^ sink_bits``
+    (``capacities``).  A search skips a closed edge as it skips a saturated
+    one, so ties resolve as on a layout of the base and open arcs alone.
 
-    Profiles are keyed by subset bit pattern.  ``subsets`` enumerates them
+    The subsets with source bits A form one tree (``_grow``): a node is A
+    with the sinks x1 ... xj that its first j augmentations ended at.  Its
+    residual network is the same whichever sinks a subset keeps open, as an
+    open sink arc (capacity ``bound``) never binds, so a node runs one
+    search with every sink arc closed.  A subset with open sinks T goes on
+    to the y in T of least ``dist[y] + pot[y]``, ties to the one settled
+    first, along y's parents.  A search with T's arcs open settles the same
+    nodes in the same order until it pops the super sink t, whose label
+    improves only strictly, over arcs of reduced cost ``pot[y] - pot[t] >=
+    0``; so its path ends at the same y, and every node it leaves unsettled
+    gets ``pot + d`` either way, ``d = dist[y] + pot[y] - pot[t]``.  The
+    subsets with no reached sink in T end at the node and share a profile.
+    Profiles are keyed by subset bit pattern; ``subsets`` enumerates them
     all, up to ``subset_cap`` terminals.
     """
 
@@ -237,9 +189,9 @@ class ProfileCache:
         self.subset_cap = subset_cap
         self._profiles: dict[int, FlowProfile] = {}
         self._needs: dict[SupplyVector, tuple[int, list[int]]] = {}
-        self._first: dict[int, tuple] = {}
-        lt = math.lcm(*(a.transit.denominator for a in network.arcs))
-        lc = math.lcm(*(a.capacity.denominator for a in network.arcs))
+        self._trees: dict[int, dict[int, FlowProfile]] = {}
+        lt = scale_lcm(a.transit.denominator for a in network.arcs)
+        lc = scale_lcm(a.capacity.denominator for a in network.arcs)
         self.time_scale, self.rate_scale = lt, lc
         n, self.m = network.node_count, len(network.arcs)
         self.sink_bits = (1 << network.k) - (1 << len(network.sources))
@@ -274,20 +226,68 @@ class ProfileCache:
             opened ^= low
         return cap
 
-    def _first_search(self, sources: int) -> tuple[list, list, tuple[int, ...]]:
-        """Distances, parent edges and the sinks' terminal indices in the
-        order settled, of one search from the super source run to exhaustion
-        with the arcs of source bits ``sources`` open and every sink arc
-        closed; memoized."""
-        hit = self._first.get(sources)
-        if hit is None:
-            net, n = self.network, self.network.node_count
-            dist, parent, settled = _search(self.adj, self.capacities(sources | self.sink_bits),
-                                            [0] * (n + 2), n, n + 1, self.far)
-            index = dict(zip(net.sinks, range(len(net.sources), net.k)))
-            hit = self._first[sources] = (dist, parent,
-                                          tuple(index[v] for v in settled if v in index))
-        return hit
+    def _grow(self, sources: int) -> dict[int, FlowProfile]:
+        """Every subset with source bits ``sources``, bits to profile; memoized."""
+        if sources not in self._trees:
+            shift = len(self.network.sources)
+            self._trees[sources] = self._walk(
+                sources, [sources | j << shift for j in range(1 << self.network.k - shift)])
+        return self._trees[sources]
+
+    def _walk(self, sources: int, group: list[int]) -> dict[int, FlowProfile]:
+        """Depth first over the tree of ``sources``: each subset in ``group``, bits to profile."""
+        net, to, far = self.network, self.to, self.far
+        s, t = net.node_count, net.node_count + 1
+        mask = {v: 1 << i for i, v in enumerate(net.sinks, len(net.sources))}
+        out = {}
+        stack = [(self.capacities(sources | self.sink_bits), [0] * (t + 1), group,
+                  (), (), (0,), (0,))]
+        while stack:
+            cap, pot, group, paths, lengths, amount_sums, moment_sums = stack.pop()
+            dist, parent, settled = _search(self.adj, cap, pot, s, far)
+            # Reached sinks, the next one first: least dist + pot, then settled first.
+            order = sorted([v for v in settled if v in mask], key=lambda v: dist[v] + pot[v])
+            branches = []
+            for y in order:
+                open_y = [bits for bits in group if not bits & mask[y]]
+                if open_y:
+                    branches.append((y, open_y))
+                    group = [bits for bits in group if bits & mask[y]]
+            if group:       # no open sink reached: these subsets end here
+                out.update(dict.fromkeys(group, FlowProfile(
+                    lengths, amount_sums, moment_sums, paths,
+                    self.time_scale, self.rate_scale, self.m)))
+            for y, branch in branches:
+                d = dist[y] + pot[y] - pot[t]
+                after = [p + (dv if dv < d else d) for p, dv in zip(pot, dist)]
+                length = after[t] - after[s]
+                path, v = [], y
+                while v != s:
+                    path.append(parent[v])
+                    v = to[parent[v] ^ 1]
+                amount = min([cap[e] for e in path])
+                residual = list(cap)
+                for e in path:
+                    residual[e] -= amount
+                    residual[e ^ 1] += amount
+                # The path runs from s through one source's aux arc and base arcs
+                # to sink y.  A simple path crosses each base arc at most once,
+                # so the certificate must reproduce the length.
+                path = tuple(path[-2::-1])
+                named = (len(paths), branch[0])
+                if (len({e >> 1 for e in path}) < len(path)
+                        or sum([self.cost[e] for e in path]) != length):
+                    raise InvariantViolation("segment %d of subset %#x: certificate does "
+                                             "not reproduce its length" % named)
+                if amount <= 0:
+                    raise InvariantViolation("segment %d of subset %#x carries no flow" % named)
+                if lengths and length < lengths[-1]:
+                    raise InvariantViolation("segment %d of subset %#x is shorter than "
+                                             "the one before" % named)
+                stack.append((residual, after, branch, paths + (path,), lengths + (length,),
+                              amount_sums + (amount_sums[-1] + amount,),
+                              moment_sums + (moment_sums[-1] + amount * length,)))
+        return out
 
     def subsets(self) -> range:
         """Every terminal bit set, 0 to 2^k - 1; raises ResourceCapExceeded
@@ -319,7 +319,7 @@ class ProfileCache:
             if len(b.values) != self.network.k:
                 raise ValueError("supply vector has %d entries for %d terminals"
                                  % (len(b.values), self.network.k))
-            den = math.lcm(*(x.denominator for x in b.values))
+            den = scale_lcm(x.denominator for x in b.values)
             unit = den * self.rate_scale * self.time_scale
             values = [x.numerator * (unit // x.denominator) for x in b.values]
             subsets = self.subsets()

@@ -10,6 +10,7 @@ from transship.cli import build_parser, main
 from transship.instances import dump_document
 from conftest import instance_b_network, instance_b_supply
 from transship import MAX_NODES, serialize_instance
+from transship.core import MAX_SCALE_BITS
 
 
 @pytest.fixture
@@ -315,6 +316,20 @@ class TestInputChecks:
         assert code == 3 and out == ""
         doc = json.loads(err)
         assert doc["error"] == "resource-cap" and "nodes" in doc["message"]
+
+    def test_scale_cap(self, capsys, tmp_path):
+        net = instance_b_network()
+        doc = serialize_instance(net, instance_b_supply(net))
+        doc["arcs"][0]["transit"] = "1/%d" % 2 ** MAX_SCALE_BITS
+        path = tmp_path / "scale.json"
+        path.write_text(json.dumps(doc))
+        for command in ("solve", "oracle", "trace"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert code == 3 and out == ""
+            assert json.loads(err) == {
+                "error": "resource-cap",
+                "message": "%d scale bits exceed the cap at %d"
+                           % (MAX_SCALE_BITS + 1, MAX_SCALE_BITS)}
 
     def test_unknown_field(self, capsys, tmp_path):
         net = instance_b_network()

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transship import (Arc, FlowNetwork, SupplyVector, TerminalSet,
+from transship import (Arc, FlowNetwork, ProfileCache, ResourceCapExceeded,
+                       SupplyVector, TerminalSet, build_time_expanded,
                        format_rational, net_supply, parse_rational,
-                       validate_instance)
+                       scale_to_integral, validate_instance)
+from transship.core import MAX_SCALE_BITS
 from conftest import instance_b_network, single_arc_network
 
 
@@ -123,3 +125,59 @@ class TestNetworkDerived:
     def test_capacity_bound(self):
         net = instance_b_network()
         assert net.capacity_bound == F(3)
+
+
+def one_arc(capacity=F(1), transit=F(1), supply=F(1)):
+    net = FlowNetwork(node_count=2, arcs=(Arc(0, 1, capacity, transit),),
+                      sources=(0,), sinks=(1,))
+    return net, SupplyVector((supply, -supply))
+
+
+def primes(count):
+    found, p = [], 3
+    while len(found) < count:
+        if all(p % q for q in found if q * q <= p):
+            found.append(p)
+        p += 2
+    return found
+
+
+class TestScaleCap:
+    """Every lcm that scales an instance onto integers stops at
+    MAX_SCALE_BITS bits, before the ints that carry it grow without bound."""
+
+    over = F(1, 2 ** MAX_SCALE_BITS)        # a denominator one bit over the cap
+
+    def refused(self, call):
+        with pytest.raises(ResourceCapExceeded) as err:
+            call()
+        assert (err.value.needed, err.value.cap, err.value.what) \
+            == (MAX_SCALE_BITS + 1, MAX_SCALE_BITS, "scale bits")
+        assert str(err.value) == "%d scale bits exceed the cap at %d" % (
+            MAX_SCALE_BITS + 1, MAX_SCALE_BITS)
+
+    def test_each_scale_refused(self):
+        net, b = one_arc(supply=self.over)
+        for call in (lambda: ProfileCache(one_arc(capacity=self.over)[0]),
+                     lambda: ProfileCache(one_arc(transit=self.over)[0]),
+                     lambda: ProfileCache(net).need_table(b),
+                     lambda: scale_to_integral(one_arc(transit=self.over)[0], F(1)),
+                     lambda: scale_to_integral(one_arc()[0], self.over),
+                     lambda: build_time_expanded(*one_arc(capacity=self.over), 3),
+                     lambda: build_time_expanded(net, b, 3)):
+            self.refused(call)
+
+    def test_at_the_cap_accepted(self):
+        at = F(1, 2 ** (MAX_SCALE_BITS - 1))
+        cache = ProfileCache(one_arc(capacity=at, transit=at)[0])
+        assert cache.time_scale == cache.rate_scale == 2 ** (MAX_SCALE_BITS - 1)
+
+    def test_many_distinct_denominators_refused(self):
+        # 600 parallel arcs with distinct odd prime denominators: their lcm
+        # passes the cap part way through, so the refusal comes at once
+        arcs = tuple(Arc(0, 1, F(1, p), F(1, p)) for p in primes(600))
+        net = FlowNetwork(node_count=2, arcs=arcs, sources=(0,), sinks=(1,))
+        with pytest.raises(ResourceCapExceeded) as err:
+            ProfileCache(net)
+        assert err.value.what == "scale bits"
+        assert MAX_SCALE_BITS < err.value.needed <= MAX_SCALE_BITS + 13

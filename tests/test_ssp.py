@@ -128,8 +128,9 @@ def test_tie_heavy_profiles_match_reference(seed):
     certificates, depends on the heap's tie-break by node id and on the
     order in which a node's edges are scanned.  Seeds 6-11 repeat seeds 0-5
     with every transit time zero: every path ties, and a sink can be
-    settled behind another at the same distance, so the first path, shared
-    by all subsets with the same sources, must go to the sink settled first.
+    settled behind another at the same distance, so each path, which the
+    tree shares among all subsets with the same sources and the same sinks
+    reached so far, must go to the open sink settled first.
     """
     zero_transit, seed = seed >= 6, seed % 6
     k = 6 + seed % 3
@@ -144,6 +145,58 @@ def test_tie_heavy_profiles_match_reference(seed):
         profile = compute_profile(network, subset, cache=cache)
         assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
             == reference_profile(network, subset)
+
+
+class TestProfileTree:
+    """The subsets with the same sources are built as one tree: one search
+    per source set and sequence of sinks its first augmentations ended at."""
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        searches, real = [], ssp._search
+
+        def search(*args):
+            searches.append(args)
+            return real(*args)
+        monkeypatch.setattr(ssp, "_search", search)
+        return searches
+
+    def test_one_search_per_tree_node(self, monkeypatch):
+        net, _ = parse_instance(generate_instance(n=12, m=24, k=8, max_u=10, max_tau=10,
+                                                  max_b=30, seed=1))
+        searches = self.count_searches(monkeypatch)
+        cache = ProfileCache(net)
+        profiles = {bits: cache.profile(bits) for bits in cache.subsets()}
+
+        def end(e):
+            arc = net.arcs[e >> 1]
+            return arc.tail if e & 1 else arc.head
+        nodes, leaves = set(), {}
+        for bits, profile in profiles.items():
+            branch = (bits & ~cache.sink_bits, tuple(end(path[-1]) for path in profile.paths))
+            assert all(v in net.sinks for v in branch[1])
+            nodes.update((branch[0], branch[1][:j]) for j in range(len(branch[1]) + 1))
+            leaves.setdefault(branch, set()).add(id(profile))
+        # one first search per source set and one search per segment would
+        # make 32 + 533 = 565
+        assert len(searches) == len(nodes) == 399
+        # subsets that end at the same node share one profile
+        assert all(len(ids) == 1 for ids in leaves.values())
+
+    def test_over_the_cap_one_branch(self, monkeypatch):
+        # k = 40 with 30 sinks: the whole tree of a source set would hold
+        # 2^30 subsets, so over the cap a profile walks its own branch only
+        net, _ = parse_instance(generate_instance(n=44, m=90, k=40, max_u=5, max_tau=5,
+                                                  max_b=10, seed=3))
+        searches = self.count_searches(monkeypatch)
+        cache = ProfileCache(net)
+        for bits in (0b1011 | 0b101 << 20, (1 << 20) - 1, 0x5A5A5A5A5A):
+            subset = TerminalSet(bits, net.k)
+            searches.clear()
+            profile = cache.profile(subset)
+            assert len(searches) == len(profile.lengths) + 1
+            assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
+                == reference_profile(net, subset)
 
 
 class TestLazySegments:
