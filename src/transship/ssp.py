@@ -23,13 +23,15 @@ holds the residual layout.  Scaling by positive constants keeps every
 comparison, so the integer search takes the paths a rational one would; the
 rational segments and certificates are built from a profile's ints when
 first read.  Ties are broken by node id, so profiles are deterministic.
-The subsets with the same sources are built as one tree, one search per
-node (``ProfileCache``).  A subset's next path ends at its open sink of
-least distance plus potential, ties to the one settled first: the sink a
-search with that subset's own sink arcs open reaches the super sink from.
+Reversing every arc maps each static flow from S's sources to the sinks
+outside S onto one from those sinks back to those sources, of the same
+value and cost (a flow over time run backwards), so the reversed network
+has the same value function.  ``ProfileCache`` lays it out reversed when
+there are more sources than sinks, and builds the subsets with the same
+root-side terminals (sources, or reversed, sinks) as one tree.
 
-The cache holds the subset cap as well, 16 terminals by default (a solve
-at k = 16 took 8.1 s and 76 MB).  Whatever enumerates all 2^k subsets goes
+The cache holds the subset cap, 16 terminals by default (a k = 16 solve
+takes 1.2-1.8 s and 36 MB).  Whatever enumerates all 2^k subsets goes
 through ``ProfileCache.subsets``, which checks the cap; one profile does not.
 """
 
@@ -130,21 +132,27 @@ def _search(adj, cap, pot, s: int, far: int):
     return dist, parent, settled
 
 
-def compute_profile(network: FlowNetwork, subset: TerminalSet, *,
+def compute_profile(network: FlowNetwork, subset: TerminalSet | int, *,
                     cache: ProfileCache | None = None) -> FlowProfile:
-    """Run successive shortest paths to exhaustion for one subset.
+    """Run successive shortest paths to exhaustion for one subset, given as
+    a ``TerminalSet`` or as its bits (ValueError unless 0 <= bits < 2^k).
 
     It is read off ``cache``'s tree (checked by ``cache_for``) for the
-    subset's sources, which builds every subset with those sources at once;
-    each path ends at the open sink of least distance plus potential, ties
-    to the one settled first (``ProfileCache`` says why).  Over the subset
-    cap, where nothing builds every subset, the walk takes this one alone.
+    subset's root-side terminals, its sources, or its sinks when the cache
+    is reversed, which builds every subset with those terminals at once;
+    each path ends at the open tree-side terminal of least distance plus
+    potential, ties to the one settled first (``ProfileCache`` says why).
+    Over the subset cap, where nothing builds every subset, the walk takes
+    this one alone.
     """
-    cache, bits = cache_for(network, cache), _bits(network, subset)
-    sources = bits & ~cache.sink_bits
-    if network.k > cache.subset_cap:
-        return cache._walk(sources, [bits])[bits]
-    return cache._grow(sources)[bits]
+    cache = cache_for(network, cache)
+    bits = _bits(network, subset) if isinstance(subset, TerminalSet) else subset
+    if not 0 <= bits < 1 << cache.k:
+        raise ValueError("bit set %#x does not fit %d terminals" % (bits, cache.k))
+    root = bits & ~cache.tree_bits
+    if cache.k > cache.subset_cap:
+        return cache._walk(root, [bits])[bits]
+    return cache._grow(root)[bits]
 
 
 class ProfileCache:
@@ -159,7 +167,9 @@ class ProfileCache:
 
     The layout has the m base arcs first, in index order, then arc m + i,
     terminal i's auxiliary arc, from the super source ``n`` to a source or
-    from a sink to the super sink ``n + 1``.  Arc i is edge 2i, its reverse
+    from a sink to the super sink ``n + 1``.  ``reversed`` (more sources
+    than sinks) runs each base arc head to tail, and arc m + i from a source
+    to ``n + 1`` or from ``n`` to a sink.  Arc i is edge 2i, its reverse
     edge 2i + 1; ``to`` and ``cost`` are indexed by edge, and ``adj`` lists
     each node's edges in that order as ``(edge, head, cost)``.  ``closed``
     is every edge's capacity with the auxiliary arcs closed (capacity 0).
@@ -167,18 +177,21 @@ class ProfileCache:
     (``capacities``).  A search skips a closed edge as it skips a saturated
     one, so ties resolve as on a layout of the base and open arcs alone.
 
-    The subsets with source bits A form one tree (``_grow``): a node is A
-    with the sinks x1 ... xj that its first j augmentations ended at.  Its
-    residual network is the same whichever sinks a subset keeps open, as an
-    open sink arc (capacity ``bound``) never binds, so a node runs one
-    search with every sink arc closed.  A subset with open sinks T goes on
-    to the y in T of least ``dist[y] + pot[y]``, ties to the one settled
-    first, along y's parents.  A search with T's arcs open settles the same
-    nodes in the same order until it pops the super sink t, whose label
-    improves only strictly, over arcs of reduced cost ``pot[y] - pot[t] >=
-    0``; so its path ends at the same y, and every node it leaves unsettled
-    gets ``pot + d`` either way, ``d = dist[y] + pot[y] - pot[t]``.  The
-    subsets with no reached sink in T end at the node and share a profile.
+    The subsets with root-side bits A form one tree (``_grow``) over the
+    tree side, the sinks or, reversed, the sources (``tree_bits``): a node is
+    A with the tree-side terminals x1 ... xj its first j augmentations ended
+    at.  Its residual network is the same whichever of those arcs a subset
+    keeps open, as an open one (capacity ``bound``) never binds, so a node
+    runs one search with them all closed.  A subset with open tree-side
+    terminals T goes on to the y in T of least ``dist[y] + pot[y]``, ties to
+    the one settled first, along y's parents.  A search with T's arcs open
+    settles the same nodes in the same order until it pops the super sink t,
+    whose label improves only strictly, over arcs of reduced cost ``pot[y] -
+    pot[t] >= 0``; so its path ends at the same y, and every node it leaves
+    unsettled gets ``pot + d`` either way, ``d = dist[y] + pot[y] - pot[t]``.
+    The subsets with no reached terminal in T end at the node and share a
+    profile.  A path is kept from source to sink over the original arcs, so
+    its certificate means the same either way.
     Profiles are keyed by subset bit pattern; ``subsets`` enumerates them
     all, up to ``subset_cap`` terminals.
     """
@@ -189,18 +202,24 @@ class ProfileCache:
         self.subset_cap = subset_cap
         self._profiles: dict[int, FlowProfile] = {}
         self._needs: dict[SupplyVector, tuple[int, list[int]]] = {}
+        self._last_need: tuple[object, tuple[int, list[int]] | None] = (object(), None)
         self._trees: dict[int, dict[int, FlowProfile]] = {}
         lt = scale_lcm(a.transit.denominator for a in network.arcs)
         lc = scale_lcm(a.capacity.denominator for a in network.arcs)
         self.time_scale, self.rate_scale = lt, lc
-        n, self.m = network.node_count, len(network.arcs)
-        self.sink_bits = (1 << network.k) - (1 << len(network.sources))
-        arcs = [(a.tail, a.head,
-                 a.capacity.numerator * (lc // a.capacity.denominator),
+        n, self.m, self.k = network.node_count, len(network.arcs), network.k
+        ns = len(network.sources)
+        self.sink_bits = (1 << self.k) - (1 << ns)
+        self.reversed = flip = ns > len(network.sinks)
+        self.tree_bits = (1 << ns) - 1 if flip else self.sink_bits
+        self._masks = {v: 1 << i for i, v in enumerate(network.terminals)
+                       if self.tree_bits >> i & 1}
+        arcs = [(a.head, a.tail) if flip else (a.tail, a.head) for a in network.arcs]
+        arcs = [(u, v, a.capacity.numerator * (lc // a.capacity.denominator),
                  a.transit.numerator * (lt // a.transit.denominator))
-                for a in network.arcs]
-        arcs += [(n, v, 0, 0) for v in network.sources]
-        arcs += [(v, n + 1, 0, 0) for v in network.sinks]
+                for (u, v), a in zip(arcs, network.arcs)]
+        arcs += [(v, n + 1, 0, 0) if flip else (n, v, 0, 0) for v in network.sources]
+        arcs += [(n, v, 0, 0) if flip else (v, n + 1, 0, 0) for v in network.sinks]
         to, costs, closed = [], [], []
         adj = [[] for _ in range(n + 2)]
         for tail, head, cap, cost in arcs:
@@ -226,34 +245,33 @@ class ProfileCache:
             opened ^= low
         return cap
 
-    def _grow(self, sources: int) -> dict[int, FlowProfile]:
-        """Every subset with source bits ``sources``, bits to profile; memoized."""
-        if sources not in self._trees:
-            shift = len(self.network.sources)
-            self._trees[sources] = self._walk(
-                sources, [sources | j << shift for j in range(1 << self.network.k - shift)])
-        return self._trees[sources]
+    def _grow(self, root: int) -> dict[int, FlowProfile]:
+        """Every subset with root-side bits ``root``, bits to profile; memoized."""
+        if root not in self._trees:
+            shift = self.tree_bits.bit_length() - len(self._masks)
+            self._trees[root] = self._walk(
+                root, [root | j << shift for j in range(1 << len(self._masks))])
+        return self._trees[root]
 
-    def _walk(self, sources: int, group: list[int]) -> dict[int, FlowProfile]:
-        """Depth first over the tree of ``sources``: each subset in ``group``, bits to profile."""
-        net, to, far = self.network, self.to, self.far
-        s, t = net.node_count, net.node_count + 1
-        mask = {v: 1 << i for i, v in enumerate(net.sinks, len(net.sources))}
+    def _walk(self, root: int, group: list[int]) -> dict[int, FlowProfile]:
+        """Depth first over the tree of ``root``: each subset in ``group``, bits to profile."""
+        to, far, mask, sink_bits = self.to, self.far, self._masks, self.sink_bits
+        s, t = self.network.node_count, self.network.node_count + 1
         out = {}
-        stack = [(self.capacities(sources | self.sink_bits), [0] * (t + 1), group,
+        stack = [(self.capacities(root | self.tree_bits & sink_bits), [0] * (t + 1), group,
                   (), (), (0,), (0,))]
         while stack:
             cap, pot, group, paths, lengths, amount_sums, moment_sums = stack.pop()
             dist, parent, settled = _search(self.adj, cap, pot, s, far)
-            # Reached sinks, the next one first: least dist + pot, then settled first.
+            # Reached tree-side terminals, next first: least dist + pot, then settled first.
             order = sorted([v for v in settled if v in mask], key=lambda v: dist[v] + pot[v])
             branches = []
             for y in order:
-                open_y = [bits for bits in group if not bits & mask[y]]
+                open_y = [bits for bits in group if (bits ^ sink_bits) & mask[y]]
                 if open_y:
                     branches.append((y, open_y))
-                    group = [bits for bits in group if bits & mask[y]]
-            if group:       # no open sink reached: these subsets end here
+                    group = [bits for bits in group if not (bits ^ sink_bits) & mask[y]]
+            if group:       # no open terminal reached: these subsets end here
                 out.update(dict.fromkeys(group, FlowProfile(
                     lengths, amount_sums, moment_sums, paths,
                     self.time_scale, self.rate_scale, self.m)))
@@ -270,10 +288,10 @@ class ProfileCache:
                 for e in path:
                     residual[e] -= amount
                     residual[e ^ 1] += amount
-                # The path runs from s through one source's aux arc and base arcs
-                # to sink y.  A simple path crosses each base arc at most once,
-                # so the certificate must reproduce the length.
-                path = tuple(path[-2::-1])
+                # From s through a root-side aux arc and base arcs to y; read back
+                # without that arc, from a source to a sink.  A simple path crosses
+                # each base arc at most once, so the certificate must reproduce the length.
+                path = tuple(path[:-1] if self.reversed else path[-2::-1])
                 named = (len(paths), branch[0])
                 if (len({e >> 1 for e in path}) < len(path)
                         or sum([self.cost[e] for e in path]) != length):
@@ -292,7 +310,7 @@ class ProfileCache:
     def subsets(self) -> range:
         """Every terminal bit set, 0 to 2^k - 1; raises ResourceCapExceeded
         when k is over the subset cap."""
-        k = self.network.k
+        k = self.k
         if k > self.subset_cap:
             raise ResourceCapExceeded(k, self.subset_cap, "terminals")
         return range(1 << k)
@@ -301,9 +319,7 @@ class ProfileCache:
         bits = _bits(self.network, subset) if isinstance(subset, TerminalSet) else subset
         hit = self._profiles.get(bits)
         if hit is None:
-            hit = compute_profile(self.network, TerminalSet(bits, self.network.k),
-                                  cache=self)
-            self._profiles[bits] = hit
+            hit = self._profiles[bits] = compute_profile(self.network, bits, cache=self)
         return hit
 
     def need_table(self, b: SupplyVector) -> tuple[int, list[int]]:
@@ -312,13 +328,16 @@ class ProfileCache:
         Returns ``(supply_scale, table)``: supply_scale is the lcm of the
         supply denominators, and ``table[bits]`` is that subset's net supply
         times ``supply_scale * rate_scale * time_scale``.  Raises
-        ValueError when ``b`` does not have one entry per terminal.
+        ValueError when ``b`` does not have one entry per terminal.  The last
+        ``b`` is held by reference, so asking again for it hashes nothing.
         """
+        if b is self._last_need[0]:
+            return self._last_need[1]
         hit = self._needs.get(b)
         if hit is None:
-            if len(b.values) != self.network.k:
+            if len(b.values) != self.k:
                 raise ValueError("supply vector has %d entries for %d terminals"
-                                 % (len(b.values), self.network.k))
+                                 % (len(b.values), self.k))
             den = scale_lcm(x.denominator for x in b.values)
             unit = den * self.rate_scale * self.time_scale
             values = [x.numerator * (unit // x.denominator) for x in b.values]
@@ -328,6 +347,7 @@ class ProfileCache:
                 low = bits & -bits
                 table[bits] = table[bits ^ low] + values[low.bit_length() - 1]
             hit = self._needs[b] = (den, table)
+        self._last_need = (b, hit)
         return hit
 
     def __len__(self) -> int:

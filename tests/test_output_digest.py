@@ -14,8 +14,8 @@ def test_output_digest_on_two_seeds():
     spec.loader.exec_module(tool)
     first = tool.digests(range(2))
     assert list(first) == [
-        "subset profiles", "solve --algo both --json", "trace --json",
-        "trace --algo simple --json", "oracle --json",
+        "subset profiles", "subset value functions", "solve --algo both --json",
+        "trace --json", "trace --algo simple --json", "oracle --json",
         "feas --json at theta* and theta* - 1/2", "extract at theta*"]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in first.values())
     assert len(set(first.values())) == len(first)

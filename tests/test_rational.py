@@ -93,6 +93,43 @@ def reference_profile(network, subset):
         segments.append((pot[t] - pot[s], amount, certificate))
 
 
+def reversed_network(network):
+    """Every arc run head to tail, with the sinks as sources and the sources
+    as sinks."""
+    return FlowNetwork(network.node_count,
+                       tuple(Arc(a.head, a.tail, a.capacity, a.transit)
+                             for a in network.arcs),
+                       network.sinks, network.sources)
+
+
+def oriented_reference(network, subset):
+    """``reference_profile`` as the kernel lays the instance out.  With more
+    sources than sinks that is the reversed network: every arc runs head to
+    tail, the sinks are its sources and the sources its sinks, and the
+    subset is the terminals outside ``subset``, so the same hookups open.
+    The segments come out in the original network's terms: a reversed arc
+    used forward is the original arc used forward."""
+    if len(network.sources) <= len(network.sinks):
+        return reference_profile(network, subset)
+    flipped = reversed_network(network)
+    inside = set(subset.nodes(network))
+    outside = [v for v in network.terminals if v not in inside]
+    return reference_profile(flipped, TerminalSet.of_nodes(flipped, outside))
+
+
+def value_function(segments):
+    """Each distinct length of ``(length, amount, ...)`` segments with the
+    amount and the amount * length summed over the segments up to it: the
+    value function, whichever way tied paths split or route."""
+    out, amount, moment = [], F(0), F(0)
+    for length, step, *_ in segments:
+        amount, moment = amount + step, moment + step * length
+        if out and out[-1][0] == length:
+            out.pop()
+        out.append((length, amount, moment))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Instances: a chain through every node with sources ahead of sinks (so a
 # finite answer exists), extra arcs that may have zero capacity, and
@@ -160,8 +197,10 @@ def test_integer_profiles_match_rational_reference(instance):
         subset = TerminalSet(bits, network.k)
         profile = compute_profile(network, subset)
         assert profile == cache.profile(bits)
-        assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
-            == reference_profile(network, subset)
+        segments = [(s.length, s.amount, s.certificate) for s in profile.segments]
+        assert segments == oriented_reference(network, subset)
+        # Reversed or not, the value function is the forward one.
+        assert value_function(segments) == value_function(reference_profile(network, subset))
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,8 @@ from transship import solver, ssp
 from transship.bench import corpus_instance
 from transship.horizon import all_breakpoints
 from conftest import instance_b_network, instance_b_supply, single_arc_network
-from test_rational import reference_profile
+from test_rational import (oriented_reference, reference_profile, reversed_network,
+                           value_function)
 
 
 def opened(net, nodes):
@@ -28,18 +29,25 @@ def opened(net, nodes):
 class TestExtendedNetwork:
     """The network a profile search runs on: the original arcs on the
     integer grid, plus auxiliary arcs from super source ``n`` to the
-    subset's sources and from the sinks outside it to super sink ``n + 1``."""
+    subset's sources and from the sinks outside it to super sink ``n + 1``.
+    With more sources than sinks, as in instance B, the layout is reversed:
+    every base arc runs head to tail, and the auxiliary arcs run from super
+    source ``n`` to the sinks outside the subset and from the subset's
+    sources to super sink ``n + 1``."""
 
     def test_single_arc_source_set(self):
         net = single_arc_network()
-        # super source feeds the one source, the one sink drains to super sink
+        # one source, one sink: not reversed; super source feeds the one
+        # source, the one sink drains to super sink
+        assert not ProfileCache(net).reversed
         assert opened(net, [0]) == [(2, 2, 0), (4, 1, 3)]
         assert ProfileCache(net).bound == net.capacity_bound == 1
 
     def test_instance_b_both_sources(self):
         net = instance_b_network()
-        # two source hookups plus one sink drain
-        assert opened(net, [0, 1]) == [(4, 3, 0), (6, 3, 1), (8, 2, 4)]
+        # reversed: two sources drain into super sink 4, super source 3
+        # feeds the sink
+        assert opened(net, [0, 1]) == [(4, 0, 4), (6, 1, 4), (8, 3, 2)]
 
     def test_subset_without_sources_gets_no_source_hookup(self):
         net = instance_b_network()
@@ -49,27 +57,33 @@ class TestExtendedNetwork:
     def test_shared_layout(self):
         net = instance_b_network()
         cache = ProfileCache(net)
-        # arcs 0-1 are the base arcs, 2-3 the source hookups from super
-        # source 3, 4 the sink's drain into super sink 4; arc i is edge 2i,
-        # its reverse 2i + 1, and every auxiliary edge starts closed
-        assert cache.to == (2, 0, 2, 1, 0, 3, 1, 3, 4, 2)
+        # arcs 0-1 are the base arcs reversed, 2-3 the sources' drains into
+        # super sink 4, 4 the sink's feed from super source 3; arc i is edge
+        # 2i, its reverse 2i + 1, and every auxiliary edge starts closed
+        assert cache.reversed
+        assert cache.to == (0, 2, 1, 2, 4, 0, 4, 1, 2, 3)
         assert cache.cost == (0, 0, 1, -1, 0, 0, 0, 0, 0, 0)
         assert cache.closed == (2, 0, 1, 0, 0, 0, 0, 0, 0, 0)
         # adj lists each node's edges as (edge, head, cost)
-        assert cache.adj == (((0, 2, 0), (5, 3, 0)), ((2, 2, 1), (7, 3, 0)),
-                             ((1, 0, 0), (3, 1, -1), (8, 4, 0)),
-                             ((4, 0, 0), (6, 1, 0)), ((9, 2, 0),))
+        assert cache.adj == (((1, 2, 0), (4, 4, 0)), ((3, 2, -1), (6, 4, 0)),
+                             ((0, 0, 0), (2, 1, 1), (9, 3, 0)),
+                             ((8, 2, 0),), ((5, 0, 0), (7, 1, 0)))
         # terminal i's auxiliary arc is arc m + i; bit 2, the sink, opens
-        # its arc when it is outside the subset
-        assert (cache.m, cache.sink_bits) == (2, 0b100)
+        # its arc when it is outside the subset; the trees grow over the
+        # sources, bits 0 and 1
+        assert (cache.m, cache.sink_bits, cache.tree_bits) == (2, 0b100, 0b011)
 
     def test_original_arcs_preserved(self):
-        net = instance_b_network()
-        cache = ProfileCache(net)
-        to, cost, closed = cache.to, cache.cost, cache.closed
-        assert [(to[2 * i + 1], to[2 * i], F(closed[2 * i], cache.rate_scale),
-                 F(cost[2 * i], cache.time_scale)) for i in range(cache.m)] \
-            == [(a.tail, a.head, a.capacity, a.transit) for a in net.arcs]
+        # edge 2i runs tail -> head, or head -> tail when reversed
+        for net in (single_arc_network(), instance_b_network()):
+            cache = ProfileCache(net)
+            to, cost, closed = cache.to, cache.cost, cache.closed
+            ends = [(to[2 * i + 1], to[2 * i]) for i in range(cache.m)]
+            if cache.reversed:
+                ends = [(tail, head) for head, tail in ends]
+            assert [(*ends[i], F(closed[2 * i], cache.rate_scale),
+                     F(cost[2 * i], cache.time_scale)) for i in range(cache.m)] \
+                == [(a.tail, a.head, a.capacity, a.transit) for a in net.arcs]
 
 
 class TestProfiles:
@@ -117,11 +131,22 @@ class TestProfiles:
                     assert total == seg.length
 
 
+def tie_heavy_network(seed):
+    zero_transit, seed = seed >= 6, seed % 6
+    k = 6 + seed % 3
+    doc = generate_instance(n=k + 3, m=3 * (k + 3), k=k, max_u=4,
+                            max_tau=0 if zero_transit else 1 + seed % 3,
+                            max_b=10, seed=seed)
+    doc["arcs"] += doc["arcs"][::3]
+    return parse_instance(doc)[0]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_tie_heavy_profiles_match_reference(seed):
     """Every subset's profile on an instance full of equal-length paths
     equals the rational reference, which runs each search to exhaustion on
-    a layout of the base arcs and the subset's own hookups.
+    a layout of the base arcs and the subset's own hookups, reversed when
+    the instance has more sources than sinks (seeds 1-3 and 7-9).
 
     Short transit times and a parallel copy of every third arc make many
     shortest paths tie, so the path each search picks, and with it the
@@ -129,22 +154,34 @@ def test_tie_heavy_profiles_match_reference(seed):
     order in which a node's edges are scanned.  Seeds 6-11 repeat seeds 0-5
     with every transit time zero: every path ties, and a sink can be
     settled behind another at the same distance, so each path, which the
-    tree shares among all subsets with the same sources and the same sinks
-    reached so far, must go to the open sink settled first.
+    tree shares among all subsets with the same root-side terminals and the
+    same tree-side terminals reached so far, must go to the open one settled
+    first.
     """
-    zero_transit, seed = seed >= 6, seed % 6
-    k = 6 + seed % 3
-    doc = generate_instance(n=k + 3, m=3 * (k + 3), k=k, max_u=4,
-                            max_tau=0 if zero_transit else 1 + seed % 3,
-                            max_b=10, seed=seed)
-    doc["arcs"] += doc["arcs"][::3]
-    network, _ = parse_instance(doc)
+    network = tie_heavy_network(seed)
     cache = ProfileCache(network)
-    for bits in range(1 << k):
-        subset = TerminalSet(bits, k)
+    assert cache.reversed == (len(network.sources) > len(network.sinks))
+    for bits in range(1 << network.k):
+        subset = TerminalSet(bits, network.k)
         profile = compute_profile(network, subset, cache=cache)
         assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
-            == reference_profile(network, subset)
+            == oriented_reference(network, subset)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 8, 9])
+def test_reversed_value_functions_match_forward_reference(seed):
+    """On the tie-heavy instances with more sources than sinks, the searches
+    run on the reversed network, and tied paths may split or route there
+    differently; every subset's value function, its distinct lengths with
+    the amount and moment summed up to each, equals the forward
+    reference's."""
+    network = tie_heavy_network(seed)
+    cache = ProfileCache(network)
+    assert cache.reversed
+    for bits in cache.subsets():
+        profile = cache.profile(bits)
+        assert value_function([(s.length, s.amount) for s in profile.segments]) \
+            == value_function(reference_profile(network, TerminalSet(bits, network.k)))
 
 
 class TestProfileTree:
@@ -162,41 +199,60 @@ class TestProfileTree:
         return searches
 
     def test_one_search_per_tree_node(self, monkeypatch):
-        net, _ = parse_instance(generate_instance(n=12, m=24, k=8, max_u=10, max_tau=10,
-                                                  max_b=30, seed=1))
+        # seed 1 has 5 sources and 3 sinks, so its trees grow over the
+        # sources from the 8 sink sets; seed 2 has 3 sources and 5 sinks.
+        # One first search per root-side set and one search per segment
+        # would make 8 + 537 = 545 and 8 + 437 = 445 (forward on seed 1,
+        # 32 + 533 = 565; the tree built forward, 399)
         searches = self.count_searches(monkeypatch)
-        cache = ProfileCache(net)
-        profiles = {bits: cache.profile(bits) for bits in cache.subsets()}
+        for seed, count in ((1, 157), (2, 69)):
+            net, _ = parse_instance(generate_instance(n=12, m=24, k=8, max_u=10, max_tau=10,
+                                                      max_b=30, seed=seed))
+            searches.clear()
+            cache = ProfileCache(net)
+            assert cache.reversed == (seed == 1)
+            profiles = {bits: cache.profile(bits) for bits in cache.subsets()}
 
-        def end(e):
-            arc = net.arcs[e >> 1]
-            return arc.tail if e & 1 else arc.head
-        nodes, leaves = set(), {}
-        for bits, profile in profiles.items():
-            branch = (bits & ~cache.sink_bits, tuple(end(path[-1]) for path in profile.paths))
-            assert all(v in net.sinks for v in branch[1])
-            nodes.update((branch[0], branch[1][:j]) for j in range(len(branch[1]) + 1))
-            leaves.setdefault(branch, set()).add(id(profile))
-        # one first search per source set and one search per segment would
-        # make 32 + 533 = 565
-        assert len(searches) == len(nodes) == 399
-        # subsets that end at the same node share one profile
-        assert all(len(ids) == 1 for ids in leaves.values())
+            def end(e):
+                arc = net.arcs[e >> 1]
+                return arc.tail if e & 1 else arc.head
+
+            def start(e):
+                arc = net.arcs[e >> 1]
+                return arc.head if e & 1 else arc.tail
+            # A tree node is the root-side bits with the tree-side terminals
+            # the first augmentations reached: the paths' ends, or their
+            # starts when reversed.
+            tree_side = net.sources if cache.reversed else net.sinks
+            nodes, leaves = set(), {}
+            for bits, profile in profiles.items():
+                reached = tuple(start(path[0]) if cache.reversed else end(path[-1])
+                                for path in profile.paths)
+                branch = (bits & ~cache.tree_bits, reached)
+                assert all(v in tree_side for v in reached)
+                nodes.update((branch[0], reached[:j]) for j in range(len(reached) + 1))
+                leaves.setdefault(branch, set()).add(id(profile))
+            assert len(searches) == len(nodes) == count
+            # subsets that end at the same node share one profile
+            assert all(len(ids) == 1 for ids in leaves.values())
 
     def test_over_the_cap_one_branch(self, monkeypatch):
         # k = 40 with 30 sinks: the whole tree of a source set would hold
-        # 2^30 subsets, so over the cap a profile walks its own branch only
+        # 2^30 subsets, so over the cap a profile walks its own branch only;
+        # the same on the reversed instance, whose 30 sources are the tree side
         net, _ = parse_instance(generate_instance(n=44, m=90, k=40, max_u=5, max_tau=5,
                                                   max_b=10, seed=3))
         searches = self.count_searches(monkeypatch)
-        cache = ProfileCache(net)
-        for bits in (0b1011 | 0b101 << 20, (1 << 20) - 1, 0x5A5A5A5A5A):
-            subset = TerminalSet(bits, net.k)
-            searches.clear()
-            profile = cache.profile(subset)
-            assert len(searches) == len(profile.lengths) + 1
-            assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
-                == reference_profile(net, subset)
+        for net in (net, reversed_network(net)):
+            cache = ProfileCache(net)
+            assert cache.reversed == (len(net.sources) == 30)
+            for bits in (0b1011 | 0b101 << 20, (1 << 20) - 1, 0x5A5A5A5A5A):
+                subset = TerminalSet(bits, net.k)
+                searches.clear()
+                profile = cache.profile(subset)
+                assert len(searches) == len(profile.lengths) + 1
+                assert [(s.length, s.amount, s.certificate) for s in profile.segments] \
+                    == oriented_reference(net, subset)
 
 
 class TestLazySegments:
@@ -206,7 +262,7 @@ class TestLazySegments:
 
     @staticmethod
     def instance():
-        # k = 8; its 256 subset profiles hold 533 segments
+        # k = 8; its 256 subset profiles hold 537 segments
         return parse_instance(generate_instance(n=12, m=24, k=8, max_u=10, max_tau=10,
                                                 max_b=30, seed=1))
 
@@ -265,6 +321,30 @@ class TestProfileCache:
                      lambda: compute_profile(net, TerminalSet(1, 2))):
             with pytest.raises(ValueError, match="width 2 does not match 3 terminals"):
                 call()
+
+    def test_bits_out_of_range_refused(self):
+        net = instance_b_network()
+        cache = ProfileCache(net)
+        for bits in (-1, 8):
+            for call in (lambda: cache.profile(bits),
+                         lambda: compute_profile(net, bits, cache=cache)):
+                with pytest.raises(ValueError, match="does not fit 3 terminals"):
+                    call()
+        assert compute_profile(net, 0b011) == cache.profile(TerminalSet(0b011, 3))
+        assert len(cache) == 1
+
+    def test_need_table_held_by_reference(self):
+        net = instance_b_network()
+        cache = ProfileCache(net)
+        b, twin = instance_b_supply(net), instance_b_supply(net)
+        other = instance_b_supply(net, b0=4, b1=2)
+        first = cache.need_table(b)
+        assert cache.need_table(b) is first
+        # an equal vector finds the same table by value, another its own
+        assert cache.need_table(other) != first
+        assert cache.need_table(twin) is first
+        assert cache.need_table(b) is first
+        assert first == (1, [0, 5, 1, 6, -6, -1, -5, 0])
 
     def test_deterministic_across_caches(self):
         net = instance_b_network()

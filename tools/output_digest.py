@@ -11,6 +11,11 @@ denominator in 1..12.  Each line is the sha256 of one kind of output over
 all instances: every subset profile, then one CLI command, where each call
 contributes its exit code, stdout and stderr.  ``feas`` runs at theta* and
 theta* - 1/2 and ``extract`` at theta*, theta* read from ``solve``.
+
+"subset value functions" keeps of each profile only its grid scales and
+each distinct length with the amount and moment prefix sums up to it, so it
+stays equal where tied paths split or route differently but every value
+function is the same.
 """
 
 from __future__ import annotations
@@ -50,6 +55,16 @@ def documents(seeds):
         yield rational_variant(doc, seed)
 
 
+def value_function(profile) -> tuple:
+    """The profile's scales, and each distinct grid length with the amount
+    and moment prefix sums over the segments up to it."""
+    sums = {}
+    for j, length in enumerate(profile.lengths):
+        sums[length] = (profile.amount_sums[j + 1], profile.moment_sums[j + 1])
+    return (profile.time_scale, profile.rate_scale,
+            [(length, *prefix) for length, prefix in sums.items()])
+
+
 def run_cli(*argv: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -67,8 +82,9 @@ def digests(seeds) -> dict[str, str]:
         path = os.path.join(tmp, "instance.json")
         for doc in documents(seeds):
             cache = ProfileCache(parse_instance(doc)[0])
+            each = list(map(cache.profile, cache.subsets()))
             profiles = [(p.segments, p.lengths, p.amount_sums, p.moment_sums)
-                        for p in map(cache.profile, cache.subsets())]
+                        for p in each]
             with open(path, "w") as handle:
                 handle.write(dump_document(doc))
             solve = run_cli("solve", "--algo", "both", "--json", "--input", path)
@@ -76,6 +92,7 @@ def digests(seeds) -> dict[str, str]:
             at, before = str(theta), str(theta - Fraction(1, 2))
             outputs = {
                 "subset profiles": profiles,
+                "subset value functions": list(map(value_function, each)),
                 "solve --algo both --json": solve,
                 "trace --json": run_cli("trace", "--json", "--input", path),
                 "trace --algo simple --json": run_cli(
