@@ -78,8 +78,9 @@ def breakpoints(profile: FlowProfile) -> tuple[Rat, ...]:
 
 
 def all_breakpoints(cache: ProfileCache) -> set[Rat]:
-    """Breakpoints of every terminal subset's value function, pooled."""
+    """Breakpoints of every terminal subset's value function, pooled: one
+    read per tree leaf, whose profile the subsets ending there share."""
     bends = set()
-    for bits in cache.subsets():
-        bends.update(breakpoints(cache.profile(bits)))
+    for *_, profile in cache.leaves():
+        bends.update(breakpoints(profile))
     return bends

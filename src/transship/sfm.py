@@ -8,9 +8,10 @@ submodular function of the subset, so its minimizers are closed under union
 and intersection; we always report the unique minimal minimizer (the
 intersection of all of them) to keep results canonical.
 
-The minimizer enumerates all subsets (``ProfileCache.subsets``), which is
-exact and fine for the terminal counts this package targets; the cache's
-subset cap guards against blowups.
+The minimizer scans one group per profile tree leaf (``ProfileCache.groups``),
+not all 2^k subsets: the subsets at a leaf share a profile, so its largest
+net supply decides, and the empty set stands for those with none.  This is
+exact; the cache's subset cap guards against blowups.
 """
 
 from __future__ import annotations
@@ -45,24 +46,21 @@ def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     """Find the minimal subset attaining the minimum slack at ``theta``.
 
     Slacks are compared as integers over one shared denominator: with
-    ``theta = p/q``, a subset's value is read off its profile's prefix sums
+    ``theta = p/q``, a group's value is read off its profile's prefix sums
     on the cache's grid, up to the last segment no longer than ``theta``.
     Only the minimum becomes a rational again.
     """
     cache = cache_for(network, cache)
-    supply_scale, need = cache.need_table(b)
+    supply_scale, groups = cache.groups(b)
     q = theta.denominator
     scaled = theta.numerator * cache.time_scale     # theta * time_scale * q
     cut = scaled // q
     gain, cost = supply_scale * scaled, supply_scale * q
-    best = None
-    best_and = 0
-    for bits in cache.subsets():
-        prof = cache.profile(bits)
+    best = best_and = 0         # the empty set, at slack 0
+    for prof, need, bits in groups:
         j = bisect.bisect_right(prof.lengths, cut)
-        slack = (gain * prof.amount_sums[j] - cost * prof.moment_sums[j]
-                 - q * need[bits])
-        if best is None or slack < best:
+        slack = gain * prof.amount_sums[j] - cost * prof.moment_sums[j] - q * need
+        if slack < best:
             best = slack
             best_and = bits
         elif slack == best:

@@ -171,19 +171,18 @@ def theta_star_bruteforce(network: FlowNetwork, b: SupplyVector, *,
     machinery, which makes it a trustworthy oracle.
     """
     cache = cache_for(network, cache)
-    supply_scale, table = cache.need_table(b)
+    supply_scale, groups = cache.groups(b)
+    if any(not profile.lengths for profile, _, _ in groups):
+        # Name the least stranded subset in bit order, as a scan of every subset would.
+        for bits in cache.subsets():
+            subset = TerminalSet(bits, network.k)
+            need = net_supply(b, subset)
+            if need > 0 and not cache.profile(bits).lengths:
+                raise InfeasibleForever(subset.nodes(network), need)
+    # Within a group the subsets share one profile, whose crossing grows with the need.
     unit = supply_scale * cache.rate_scale * cache.time_scale
-    best = Fraction(0)
-    for bits in cache.subsets():
-        if table[bits] <= 0:
-            continue
-        profile, need = cache.profile(bits), Fraction(table[bits], unit)
-        if not profile.lengths:
-            raise InfeasibleForever(TerminalSet(bits, network.k).nodes(network), need)
-        crossing = crossing_time(profile, need)
-        if crossing > best:
-            best = crossing
-    return best
+    return max([crossing_time(profile, Fraction(need, unit)) for profile, need, _ in groups],
+               default=Fraction(0))
 
 
 def _top_multiplier(result: SolveResult) -> int:

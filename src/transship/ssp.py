@@ -28,11 +28,12 @@ outside S onto one from those sinks back to those sources, of the same
 value and cost (a flow over time run backwards), so the reversed network
 has the same value function.  ``ProfileCache`` lays it out reversed when
 there are more sources than sinks, and builds the subsets with the same
-root-side terminals (sources, or reversed, sinks) as one tree.
+root-side terminals (sources, or reversed, sinks) as one tree; the subsets
+ending at a leaf share its profile, and the envelope reads one group per leaf.
 
 The cache holds the subset cap, 16 terminals by default (a k = 16 solve
-takes 1.2-1.8 s and 36 MB).  Whatever enumerates all 2^k subsets goes
-through ``ProfileCache.subsets``, which checks the cap; one profile does not.
+takes 0.8-1.0 s and 29 MB).  Whatever reads every tree or all 2^k subsets
+goes through ``ProfileCache.subsets``, which checks the cap; one profile does not.
 """
 
 from __future__ import annotations
@@ -143,21 +144,21 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet | int, *,
     each path ends at the open tree-side terminal of least distance plus
     potential, ties to the one settled first (``ProfileCache`` says why).
     Over the subset cap, where nothing builds every subset, the walk takes
-    this one alone.
+    this one alone: its cube fixes every tree-side terminal.
     """
     cache = cache_for(network, cache)
     bits = _bits(network, subset) if isinstance(subset, TerminalSet) else subset
     if not 0 <= bits < 1 << cache.k:
         raise ValueError("bit set %#x does not fit %d terminals" % (bits, cache.k))
-    root = bits & ~cache.tree_bits
     if cache.k > cache.subset_cap:
-        return cache._walk(root, [bits])[bits]
-    return cache._grow(root)[bits]
+        opened = (bits ^ cache.sink_bits) & cache.tree_bits
+        return cache._walk(bits & ~cache.tree_bits, cache.tree_bits, opened)[0][2]
+    return cache._leaf(bits)
 
 
 class ProfileCache:
-    """One instance on the integer grid, and one memoized profile per
-    terminal subset.
+    """One instance on the integer grid, and one memoized profile tree per
+    root-side terminal set.
 
     Transit times are multiplied by ``time_scale``, the lcm of their
     denominators, and capacities by ``rate_scale``, the lcm of theirs.
@@ -192,18 +193,20 @@ class ProfileCache:
     The subsets with no reached terminal in T end at the node and share a
     profile.  A path is kept from source to sink over the original arcs, so
     its certificate means the same either way.
-    Profiles are keyed by subset bit pattern; ``subsets`` enumerates them
-    all, up to ``subset_cap`` terminals.
+    The walk carries a node's subsets as a cube ``(care, want)``: those
+    whose open tree-side bits o, ``(bits ^ sink_bits) & tree_bits``, have
+    ``o & care == want``.  A reached free terminal splits it, one fixed open
+    takes all of it, one fixed closed none.  A tree is the list of its
+    leaves' ``(care, want, profile)``, memoized by root; ``len`` counts them.
     """
 
     def __init__(self, network: FlowNetwork, *,
                  subset_cap: int = DEFAULT_SUBSET_CAP):
         self.network = network
         self.subset_cap = subset_cap
-        self._profiles: dict[int, FlowProfile] = {}
-        self._needs: dict[SupplyVector, tuple[int, list[int]]] = {}
-        self._last_need: tuple[object, tuple[int, list[int]] | None] = (object(), None)
-        self._trees: dict[int, dict[int, FlowProfile]] = {}
+        self._groups: dict[SupplyVector, tuple[int, list[tuple[FlowProfile, int, int]]]] = {}
+        self._last: tuple[object, tuple | None] = (object(), None)
+        self._trees: dict[int, list[tuple[int, int, FlowProfile]]] = {}
         lt = scale_lcm(a.transit.denominator for a in network.arcs)
         lc = scale_lcm(a.capacity.denominator for a in network.arcs)
         self.time_scale, self.rate_scale = lt, lc
@@ -245,37 +248,40 @@ class ProfileCache:
             opened ^= low
         return cap
 
-    def _grow(self, root: int) -> dict[int, FlowProfile]:
-        """Every subset with root-side bits ``root``, bits to profile; memoized."""
+    def _leaf(self, bits: int) -> FlowProfile:
+        """Subset ``bits``'s leaf profile on the tree of its root-side bits, grown once."""
+        root = bits & ~self.tree_bits
         if root not in self._trees:
-            shift = self.tree_bits.bit_length() - len(self._masks)
-            self._trees[root] = self._walk(
-                root, [root | j << shift for j in range(1 << len(self._masks))])
-        return self._trees[root]
+            self._trees[root] = self._walk(root, 0, 0)
+        opened = (bits ^ self.sink_bits) & self.tree_bits
+        return next(profile for care, want, profile in self._trees[root] if opened & care == want)
 
-    def _walk(self, root: int, group: list[int]) -> dict[int, FlowProfile]:
-        """Depth first over the tree of ``root``: each subset in ``group``, bits to profile."""
+    def _walk(self, root: int, care: int, want: int) -> list[tuple[int, int, FlowProfile]]:
+        """Depth first over the tree of ``root`` from the cube ``(care, want)``:
+        ``(care, want, profile)`` per leaf, the cube of the subsets ending there."""
         to, far, mask, sink_bits = self.to, self.far, self._masks, self.sink_bits
         s, t = self.network.node_count, self.network.node_count + 1
-        out = {}
-        stack = [(self.capacities(root | self.tree_bits & sink_bits), [0] * (t + 1), group,
+        leaves = []
+        stack = [(self.capacities(root | self.tree_bits & sink_bits), [0] * (t + 1), care, want,
                   (), (), (0,), (0,))]
         while stack:
-            cap, pot, group, paths, lengths, amount_sums, moment_sums = stack.pop()
+            cap, pot, care, want, paths, lengths, amount_sums, moment_sums = stack.pop()
             dist, parent, settled = _search(self.adj, cap, pot, s, far)
             # Reached tree-side terminals, next first: least dist + pot, then settled first.
             order = sorted([v for v in settled if v in mask], key=lambda v: dist[v] + pot[v])
             branches = []
             for y in order:
-                open_y = [bits for bits in group if (bits ^ sink_bits) & mask[y]]
-                if open_y:
-                    branches.append((y, open_y))
-                    group = [bits for bits in group if not (bits ^ sink_bits) & mask[y]]
-            if group:       # no open terminal reached: these subsets end here
-                out.update(dict.fromkeys(group, FlowProfile(
+                if not care & mask[y]:      # free: the subsets with y open go on to y
+                    branches.append((y, care | mask[y], want | mask[y]))
+                    care |= mask[y]
+                elif want & mask[y]:        # fixed open: all of them do
+                    branches.append((y, care, want))
+                    break
+            else:           # no open terminal reached: the rest of the cube ends here
+                leaves.append((care, want, FlowProfile(
                     lengths, amount_sums, moment_sums, paths,
                     self.time_scale, self.rate_scale, self.m)))
-            for y, branch in branches:
+            for y, care, want in branches:
                 d = dist[y] + pot[y] - pot[t]
                 after = [p + (dv if dv < d else d) for p, dv in zip(pot, dist)]
                 length = after[t] - after[s]
@@ -292,7 +298,7 @@ class ProfileCache:
                 # without that arc, from a source to a sink.  A simple path crosses
                 # each base arc at most once, so the certificate must reproduce the length.
                 path = tuple(path[:-1] if self.reversed else path[-2::-1])
-                named = (len(paths), branch[0])
+                named = (len(paths), root | (want ^ sink_bits) & care)
                 if (len({e >> 1 for e in path}) < len(path)
                         or sum([self.cost[e] for e in path]) != length):
                     raise InvariantViolation("segment %d of subset %#x: certificate does "
@@ -302,10 +308,10 @@ class ProfileCache:
                 if lengths and length < lengths[-1]:
                     raise InvariantViolation("segment %d of subset %#x is shorter than "
                                              "the one before" % named)
-                stack.append((residual, after, branch, paths + (path,), lengths + (length,),
+                stack.append((residual, after, care, want, paths + (path,), lengths + (length,),
                               amount_sums + (amount_sums[-1] + amount,),
                               moment_sums + (moment_sums[-1] + amount * length,)))
-        return out
+        return leaves
 
     def subsets(self) -> range:
         """Every terminal bit set, 0 to 2^k - 1; raises ResourceCapExceeded
@@ -317,23 +323,32 @@ class ProfileCache:
 
     def profile(self, subset: TerminalSet | int) -> FlowProfile:
         bits = _bits(self.network, subset) if isinstance(subset, TerminalSet) else subset
-        hit = self._profiles.get(bits)
-        if hit is None:
-            hit = self._profiles[bits] = compute_profile(self.network, bits, cache=self)
-        return hit
+        if bits & ~self.tree_bits in self._trees:
+            return self._leaf(bits)
+        return compute_profile(self.network, bits, cache=self)
 
-    def need_table(self, b: SupplyVector) -> tuple[int, list[int]]:
-        """Net supply of every terminal bit set, on the grid; built once per ``b``.
+    def leaves(self):
+        """``(root, care, want, profile)`` per leaf of every tree, each tree
+        built by one ``compute_profile`` call on its root; raises
+        ResourceCapExceeded when k is over the subset cap."""
+        for root in self.subsets():
+            if not root & self.tree_bits:
+                if root not in self._trees:
+                    compute_profile(self.network, root, cache=self)
+                yield from ((root, *leaf) for leaf in self._trees[root])
 
-        Returns ``(supply_scale, table)``: supply_scale is the lcm of the
-        supply denominators, and ``table[bits]`` is that subset's net supply
-        times ``supply_scale * rate_scale * time_scale``.  Raises
-        ValueError when ``b`` does not have one entry per terminal.  The last
-        ``b`` is held by reference, so asking again for it hashes nothing.
-        """
-        if b is self._last_need[0]:
-            return self._last_need[1]
-        hit = self._needs.get(b)
+    def groups(self, b: SupplyVector) -> tuple[int, list[tuple[FlowProfile, int, int]]]:
+        """``(supply_scale, groups)`` for ``b``, built once: the lcm of the
+        supply denominators, and per tree leaf ``(profile, need, bits)``, the
+        largest net supply of its cube times ``supply_scale * rate_scale *
+        time_scale`` and the least subset attaining it: the fixed terminals
+        and the free ones of positive supply (of zero supply, the AND of the
+        minimizers leaves them out).  Only positive needs are kept.  Raises
+        ValueError unless ``b`` has k entries; the last ``b`` is held by
+        reference, so asking again for it hashes nothing."""
+        if b is self._last[0]:
+            return self._last[1]
+        hit = self._groups.get(b)
         if hit is None:
             if len(b.values) != self.k:
                 raise ValueError("supply vector has %d entries for %d terminals"
@@ -341,17 +356,19 @@ class ProfileCache:
             den = scale_lcm(x.denominator for x in b.values)
             unit = den * self.rate_scale * self.time_scale
             values = [x.numerator * (unit // x.denominator) for x in b.values]
-            subsets = self.subsets()
-            table = [0] * len(subsets)
-            for bits in subsets[1:]:
-                low = bits & -bits
-                table[bits] = table[bits ^ low] + values[low.bit_length() - 1]
-            hit = self._needs[b] = (den, table)
-        self._last_need = (b, hit)
+            positive = sum(1 << i for i, x in enumerate(values) if x > 0) & self.tree_bits
+            groups = []
+            for root, care, want, profile in self.leaves():
+                bits = root | (want ^ self.sink_bits) & care | positive & ~care
+                need = sum([x for i, x in enumerate(values) if bits >> i & 1])
+                if need > 0:
+                    groups.append((profile, need, bits))
+            hit = self._groups[b] = (den, groups)
+        self._last = (b, hit)
         return hit
 
     def __len__(self) -> int:
-        return len(self._profiles)
+        return len(self._trees)
 
 
 def cache_for(network: FlowNetwork, cache: ProfileCache | None) -> ProfileCache:

@@ -160,7 +160,7 @@ class TestScaleCap:
         net, b = one_arc(supply=self.over)
         for call in (lambda: ProfileCache(one_arc(capacity=self.over)[0]),
                      lambda: ProfileCache(one_arc(transit=self.over)[0]),
-                     lambda: ProfileCache(net).need_table(b),
+                     lambda: ProfileCache(net).groups(b),
                      lambda: scale_to_integral(one_arc(transit=self.over)[0], F(1)),
                      lambda: scale_to_integral(one_arc()[0], self.over),
                      lambda: build_time_expanded(*one_arc(capacity=self.over), 3),

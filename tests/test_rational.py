@@ -117,6 +117,18 @@ def oriented_reference(network, subset):
     return reference_profile(flipped, TerminalSet.of_nodes(flipped, outside))
 
 
+def scan_every_subset(network, b, theta, profiles):
+    """Reference envelope: every subset's slack from its own profile
+    (``profiles[bits]``), the minimum and the AND of the subsets attaining it."""
+    slacks = [value_at(profile, theta) - net_supply(b, TerminalSet(bits, network.k))
+              for bits, profile in enumerate(profiles)]
+    lowest, minimal = min(slacks), (1 << network.k) - 1
+    for bits, slack in enumerate(slacks):
+        if slack == lowest:
+            minimal &= bits
+    return lowest, minimal
+
+
 def value_function(segments):
     """Each distinct length of ``(length, amount, ...)`` segments with the
     amount and the amount * length summed over the segments up to it: the
@@ -212,17 +224,10 @@ def test_envelope_matches_rational_minimum(instance, thetas):
     bends = {bend for bits in range(1 << network.k)
              for bend in breakpoints(cache.profile(bits))}
     thetas = set(thetas) | bends | {x - F(1, 1009) for x in bends if x > 0}
+    profiles = [cache.profile(bits) for bits in range(1 << network.k)]
     for theta in sorted(thetas):
-        slack = {bits: value_at(cache.profile(bits), theta)
-                 - net_supply(b, TerminalSet(bits, network.k))
-                 for bits in range(1 << network.k)}
-        lowest = min(slack.values())
-        minimal = (1 << network.k) - 1
-        for bits, value in slack.items():
-            if value == lowest:
-                minimal &= bits
         found = minimize_slack(network, b, theta, cache=cache)
-        assert (found.value, found.subset.bits) == (lowest, minimal)
+        assert (found.value, found.subset.bits) == scan_every_subset(network, b, theta, profiles)
 
 
 @settings(max_examples=60, deadline=None)

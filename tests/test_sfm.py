@@ -1,9 +1,15 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
-from transship import (ProfileCache, ResourceCapExceeded, TerminalSet,
-                       is_feasible, min_slack, minimize_slack)
+from transship import (ProfileCache, ResourceCapExceeded, SupplyVector, TerminalSet,
+                       generate_instance, is_feasible, min_slack, minimize_slack,
+                       net_supply, parse_instance, solve_newton_jumps, solver, ssp,
+                       value_at)
+from transship.horizon import all_breakpoints
+from test_rational import instances, scan_every_subset
 
 
 class TestBruteForceMinimizer:
@@ -31,7 +37,6 @@ class TestBruteForceMinimizer:
         # at theta=2 both {0} and {0,1} sit at slack -1; the report must be
         # their intersection {0}, which itself attains the minimum
         net, b = instance_b
-        from transship import net_supply, value_at
         cache = ProfileCache(net)
         argmins = []
         for bits in range(1 << net.k):
@@ -60,13 +65,17 @@ class TestBruteForceMinimizer:
         assert is_feasible(net, b, F(5, 2))
         assert not is_feasible(net, b, F(2))
 
-    def test_shared_cache_reused(self, instance_b):
+    def test_shared_cache_reused(self, instance_b, monkeypatch):
+        # the first envelope builds every tree, one per sink set of the
+        # reversed layout; one at another deadline runs no search
         net, b = instance_b
         cache = ProfileCache(net)
         minimize_slack(net, b, F(2), cache=cache)
-        assert len(cache) == 1 << net.k
+        assert len(cache) == 2
+        searches, real = [], ssp._search
+        monkeypatch.setattr(ssp, "_search", lambda *args: searches.append(args) or real(*args))
         minimize_slack(net, b, F(3), cache=cache)
-        assert len(cache) == 1 << net.k
+        assert searches == [] and len(cache) == 2
 
 
 class TestCapAndStrategy:
@@ -81,3 +90,76 @@ class TestCapAndStrategy:
             minimize_slack(net, b, F(1), cache=ProfileCache(net, subset_cap=2))
         assert (err.value.needed, err.value.what) == (3, "terminals")
         assert err.value.cap == 2
+
+
+def check_group_envelope(network, b, reference=None):
+    """The group envelope equals the per-subset scan, value and minimal
+    minimizer, at every deadline the jumps solver visits and at every
+    breakpoint.  ``reference`` is the cache the scan looks its profiles up
+    in, a fresh one by default."""
+    cache, visited, envelope = ProfileCache(network), [], solver.minimize_slack
+
+    def recorded(network, b, theta, **kwargs):
+        visited.append(theta)
+        return envelope(network, b, theta, **kwargs)
+    with mock.patch.object(solver, "minimize_slack", recorded):
+        solve_newton_jumps(network, b, cache=cache)
+    reference = reference or ProfileCache(network)
+    profiles = [reference.profile(bits) for bits in range(1 << network.k)]
+    for theta in sorted(set(visited) | all_breakpoints(cache)):
+        found = minimize_slack(network, b, theta, cache=cache)
+        assert (found.value, found.subset.bits) == scan_every_subset(network, b, theta, profiles)
+
+
+def wide_instance(seed):
+    # k = 8: seed 1 has 5 sources and 3 sinks, so it is laid out reversed;
+    # seed 2 has 3 sources and 5 sinks
+    return parse_instance(generate_instance(n=12, m=24, k=8, max_u=10, max_tau=10,
+                                            max_b=30, seed=seed))
+
+
+def zero_supplies(network, b):
+    """``b`` with the first source's supply moved onto the last source and
+    the first sink's demand onto the last sink."""
+    values, ns = list(b.values), len(network.sources)
+    values[ns - 1] += values[0]
+    values[-1] += values[ns]
+    values[0] = values[ns] = F(0)
+    return SupplyVector(tuple(values))
+
+
+class TestGroupEnvelope:
+    """``minimize_slack`` scans one group per tree leaf; it must agree with
+    a scan of every subset."""
+
+    def test_corpus_slice(self, corpus):
+        for entry in corpus[:60]:
+            check_group_envelope(entry.network, entry.b, entry.cache)
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance=instances())
+    def test_rational_instances(self, instance):
+        check_group_envelope(*instance)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_both_layouts(self, seed):
+        net, b = wide_instance(seed)
+        assert ProfileCache(net).reversed == (seed == 1)
+        check_group_envelope(net, b)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_zero_supply_terminals(self, seed):
+        # a free terminal of zero supply stays out of its group's subset,
+        # as the AND of the subsets attaining the minimum leaves it out
+        net, b = wide_instance(seed)
+        b = zero_supplies(net, b)
+        assert b.values.count(0) >= 2 and sum(b.values) == 0
+        check_group_envelope(net, b)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_profiles_walked_one_at_a_time(self, seed):
+        # under the cap each profile is walked alone, fixing every
+        # tree-side terminal open or closed from the start
+        net, b = wide_instance(seed)
+        check_group_envelope(net, zero_supplies(net, b),
+                             ProfileCache(net, subset_cap=net.k - 1))

@@ -127,6 +127,20 @@ class TestInfeasibility:
         assert 2 in err.value.nodes
         assert err.value.net_supply > 0
 
+    @pytest.mark.parametrize("sources, sinks, arcs, values, named", [
+        # group {0, 1, 2, 3} is stranded too, but {2} comes first in bit order
+        ((0, 1, 2), (3, 4), ((0, 3), (1, 3)), (1, 1, 2, -2, -2), (2,)),
+        # reversed layout; {0, 1, 3, 4} is stranded too
+        ((0, 1), (2, 3, 4), ((0, 3), (0, 4)), (2, 2, -1, -1, -2), (1,)),
+    ])
+    def test_oracle_names_least_stranded_group(self, sources, sinks, arcs, values, named):
+        from transship import Arc, FlowNetwork
+        net = FlowNetwork(node_count=5, arcs=tuple(Arc(u, v, F(1), F(1)) for u, v in arcs),
+                          sources=sources, sinks=sinks)
+        with pytest.raises(InfeasibleForever) as err:
+            theta_star_bruteforce(net, SupplyVector(tuple(map(F, values))))
+        assert (err.value.nodes, err.value.net_supply) == (named, 2)
+
 
 class TestTraceInvariants:
     def test_corpus_slice(self, corpus):

@@ -333,18 +333,25 @@ class TestProfileCache:
         assert compute_profile(net, 0b011) == cache.profile(TerminalSet(0b011, 3))
         assert len(cache) == 1
 
-    def test_need_table_held_by_reference(self):
+    def test_groups_held_by_reference(self):
         net = instance_b_network()
         cache = ProfileCache(net)
         b, twin = instance_b_supply(net), instance_b_supply(net)
         other = instance_b_supply(net, b0=4, b1=2)
-        first = cache.need_table(b)
-        assert cache.need_table(b) is first
-        # an equal vector finds the same table by value, another its own
-        assert cache.need_table(other) != first
-        assert cache.need_table(twin) is first
-        assert cache.need_table(b) is first
-        assert first == (1, [0, 5, 1, 6, -6, -1, -5, 0])
+        first = cache.groups(b)
+        assert cache.groups(b) is first
+        # an equal vector finds the same groups by value, another its own
+        assert cache.groups(other) != first
+        assert cache.groups(twin) is first
+        assert cache.groups(b) is first
+        # reversed, so the trees grow over the sources, bits 0 and 1; with
+        # sink 2 outside, each source set ends at a leaf of its own, and {}
+        # needs nothing; with sink 2 inside, nothing flows, so that tree is
+        # one leaf, whose largest need, of {0, 1, 2}, is 0
+        supply_scale, groups = first
+        assert supply_scale == 1 and len(cache) == 2
+        assert sorted((bits, need, profile.lengths) for profile, need, bits in groups) \
+            == [(0b001, 5, (0,)), (0b010, 1, (1,)), (0b011, 6, (0, 1))]
 
     def test_deterministic_across_caches(self):
         net = instance_b_network()
@@ -377,7 +384,8 @@ class TestProfileCache:
         net, b = instance_b_network(), SupplyVector(tuple(map(F, values)))
         message = "supply vector has %d entries for 3 terminals" % len(values)
         for call in (lambda: minimize_slack(net, b, F(1)),
-                     lambda: solve_newton_jumps(net, b)):
+                     lambda: solve_newton_jumps(net, b),
+                     lambda: ProfileCache(net).groups(b)):
             with pytest.raises(ValueError, match=message):
                 call()
 
