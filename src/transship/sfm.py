@@ -8,10 +8,10 @@ submodular function of the subset, so its minimizers are closed under union
 and intersection; we always report the unique minimal minimizer (the
 intersection of all of them) to keep results canonical.
 
-The minimizer scans one group per profile tree leaf (``ProfileCache.groups``),
-not all 2^k subsets: the subsets at a leaf share a profile, so its largest
-net supply decides, and the empty set stands for those with none.  This is
-exact; the cache's subset cap guards against blowups.
+The minimizer scans one group per leaf of the trees bounded by the supply
+vector (``ProfileCache.groups``), not 2^k subsets: a leaf's subsets share its
+profile wherever their slacks can be negative, so its largest need decides
+and the empty set at slack 0 stands for the rest; the subset cap guards against blowups.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def minimize_slack(network: FlowNetwork, b: SupplyVector, theta: Rat, *,
     # Minimizers of a submodular function form a lattice, so the
     # intersection of all of them is itself a minimizer.  Recomputing its
     # slack in rationals also checks the integer arithmetic above.
-    if value_at(cache.profile(best_and), theta) - net_supply(b, subset) != value:
+    if value_at(cache.profile(best_and, b), theta) - net_supply(b, subset) != value:
         raise InvariantViolation("subset %s does not attain the minimum slack %s "
                                  "at %s" % (subset.label(network), value, theta))
     return SlackMinimum(subset, value)

@@ -104,7 +104,7 @@ def _solve(network: FlowNetwork, b: SupplyVector, *, jumps: bool,
             raise InvariantViolation("subset %s repeated; envelope is not advancing"
                                      % subset.label(network))
         seen.add(subset.bits)
-        profile = cache.profile(subset)
+        profile = cache.profile(subset, b)
         prime = crossing_time(profile, net_supply(b, subset),
                               nodes=subset.nodes(network))
         theta_next, jump = prime, 0
@@ -177,7 +177,7 @@ def theta_star_bruteforce(network: FlowNetwork, b: SupplyVector, *,
         for bits in cache.subsets():
             subset = TerminalSet(bits, network.k)
             need = net_supply(b, subset)
-            if need > 0 and not cache.profile(bits).lengths:
+            if need > 0 and not cache.profile(bits, b).lengths:
                 raise InfeasibleForever(subset.nodes(network), need)
     # Within a group the subsets share one profile, whose crossing grows with the need.
     unit = supply_scale * cache.rate_scale * cache.time_scale

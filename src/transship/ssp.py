@@ -31,8 +31,9 @@ there are more sources than sinks, and builds the subsets with the same
 root-side terminals (sources, or reversed, sinks) as one tree; the subsets
 ending at a leaf share its profile, and the envelope reads one group per leaf.
 
+A solve grows each tree only as far as its supply vector's needs reach.
 The cache holds the subset cap, 16 terminals by default (a k = 16 solve
-takes 0.8-1.0 s and 29 MB).  Whatever reads every tree or all 2^k subsets
+takes 0.09-0.10 s and 18 MB).  Whatever reads every tree or all 2^k subsets
 goes through ``ProfileCache.subsets``, which checks the cap; one profile does not.
 """
 
@@ -134,7 +135,8 @@ def _search(adj, cap, pot, s: int, far: int):
 
 
 def compute_profile(network: FlowNetwork, subset: TerminalSet | int, *,
-                    cache: ProfileCache | None = None) -> FlowProfile:
+                    cache: ProfileCache | None = None,
+                    b: SupplyVector | None = None) -> FlowProfile:
     """Run successive shortest paths to exhaustion for one subset, given as
     a ``TerminalSet`` or as its bits (ValueError unless 0 <= bits < 2^k).
 
@@ -143,8 +145,9 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet | int, *,
     is reversed, which builds every subset with those terminals at once;
     each path ends at the open tree-side terminal of least distance plus
     potential, ties to the one settled first (``ProfileCache`` says why).
-    Over the subset cap, where nothing builds every subset, the walk takes
-    this one alone: its cube fixes every tree-side terminal.
+    With supply vector ``b`` the tree is b's bounded one, unless the full one
+    is built.  Over the subset cap, where nothing builds every subset, the
+    walk takes this one alone, in full: its cube fixes every tree-side terminal.
     """
     cache = cache_for(network, cache)
     bits = _bits(network, subset) if isinstance(subset, TerminalSet) else subset
@@ -153,7 +156,7 @@ def compute_profile(network: FlowNetwork, subset: TerminalSet | int, *,
     if cache.k > cache.subset_cap:
         opened = (bits ^ cache.sink_bits) & cache.tree_bits
         return cache._walk(bits & ~cache.tree_bits, cache.tree_bits, opened)[0][2]
-    return cache._leaf(bits)
+    return cache._leaf(bits, b)
 
 
 class ProfileCache:
@@ -197,15 +200,23 @@ class ProfileCache:
     whose open tree-side bits o, ``(bits ^ sink_bits) & tree_bits``, have
     ``o & care == want``.  A reached free terminal splits it, one fixed open
     takes all of it, one fixed closed none.  A tree is the list of its
-    leaves' ``(care, want, profile)``, memoized by root; ``len`` counts them.
+    leaves' ``(care, want, profile)``, memoized by root.
+    ``groups(b)`` builds each tree bounded by supply vector b, unless its
+    full tree is built: a branch whose cube's largest net supply is at most
+    0 is dropped, and one whose value at its last length covers it is a
+    leaf, its profile truncated.  That is exact below each of its subsets'
+    crossings, the only deadlines where their slacks can be negative, so
+    envelopes, crossings and slopes read off it are the full trees'.
+    ``profile(bits, b)`` reads these trees, the empty profile for a dropped
+    subset; ``len`` counts the trees held, full and bounded.
     """
 
     def __init__(self, network: FlowNetwork, *,
                  subset_cap: int = DEFAULT_SUBSET_CAP):
         self.network = network
         self.subset_cap = subset_cap
-        self._groups: dict[SupplyVector, tuple[int, list[tuple[FlowProfile, int, int]]]] = {}
-        self._last: tuple[object, tuple | None] = (object(), None)
+        self._needs_of: dict[SupplyVector, list] = {}
+        self._last: tuple[object, list | None] = (object(), None)
         self._trees: dict[int, list[tuple[int, int, FlowProfile]]] = {}
         lt = scale_lcm(a.transit.denominator for a in network.arcs)
         lc = scale_lcm(a.capacity.denominator for a in network.arcs)
@@ -235,6 +246,7 @@ class ProfileCache:
         self.adj = tuple(map(tuple, adj))
         self.bound = sum(closed[0::2])
         self.far = sum(costs[0::2]) + 1
+        self._empty = FlowProfile((), (0,), (0,), (), lt, lc, self.m)
 
     def capacities(self, bits: int) -> list[int]:
         """The residual capacities subset ``bits`` starts from: ``closed``
@@ -248,24 +260,30 @@ class ProfileCache:
             opened ^= low
         return cap
 
-    def _leaf(self, bits: int) -> FlowProfile:
-        """Subset ``bits``'s leaf profile on the tree of its root-side bits, grown once."""
+    def _leaf(self, bits: int, b: SupplyVector | None = None) -> FlowProfile:
+        """Subset ``bits``'s leaf on its full tree, or with ``b`` on b's unless that is built."""
         root = bits & ~self.tree_bits
-        if root not in self._trees:
-            self._trees[root] = self._walk(root, 0, 0)
+        needs = None if b is None or root in self._trees else self._needs(b)
+        trees = needs[2] if needs else self._trees
+        if root not in trees:
+            trees[root] = self._walk(root, 0, 0, needs)
         opened = (bits ^ self.sink_bits) & self.tree_bits
-        return next(profile for care, want, profile in self._trees[root] if opened & care == want)
+        return next((p for care, want, p in trees[root] if opened & care == want), self._empty)
 
-    def _walk(self, root: int, care: int, want: int) -> list[tuple[int, int, FlowProfile]]:
+    def _walk(self, root: int, care: int, want: int, needs: list | None = None) -> list:
         """Depth first over the tree of ``root`` from the cube ``(care, want)``:
-        ``(care, want, profile)`` per leaf, the cube of the subsets ending there."""
+        ``(care, want, profile)`` per leaf, the cube of the subsets ending there;
+        bounded by ``needs`` (``_needs``) if given, as ``ProfileCache`` says."""
         to, far, mask, sink_bits = self.to, self.far, self._masks, self.sink_bits
         s, t = self.network.node_count, self.network.node_count + 1
-        leaves = []
+        den, most = needs[:2] if needs else (0, None)
+        scales, leaves = (self.time_scale, self.rate_scale, self.m), []
+        if most and most(root, care, want)[1] <= 0:
+            return leaves
         stack = [(self.capacities(root | self.tree_bits & sink_bits), [0] * (t + 1), care, want,
-                  (), (), (0,), (0,))]
+                  (), (0,), (0,), ())]
         while stack:
-            cap, pot, care, want, paths, lengths, amount_sums, moment_sums = stack.pop()
+            cap, pot, care, want, *node = stack.pop()
             dist, parent, settled = _search(self.adj, cap, pot, s, far)
             # Reached tree-side terminals, next first: least dist + pot, then settled first.
             order = sorted([v for v in settled if v in mask], key=lambda v: dist[v] + pot[v])
@@ -278,26 +296,20 @@ class ProfileCache:
                     branches.append((y, care, want))
                     break
             else:           # no open terminal reached: the rest of the cube ends here
-                leaves.append((care, want, FlowProfile(
-                    lengths, amount_sums, moment_sums, paths,
-                    self.time_scale, self.rate_scale, self.m)))
+                leaves.append((care, want, FlowProfile(*node, *scales)))
+            lengths, amount_sums, moment_sums, paths = node
             for y, care, want in branches:
                 d = dist[y] + pot[y] - pot[t]
-                after = [p + (dv if dv < d else d) for p, dv in zip(pot, dist)]
-                length = after[t] - after[s]
-                path, v = [], y
+                length = pot[t] + d - pot[s]    # after[t] - after[s] below, as d >= 0
+                edges, v = [], y
                 while v != s:
-                    path.append(parent[v])
+                    edges.append(parent[v])
                     v = to[parent[v] ^ 1]
-                amount = min([cap[e] for e in path])
-                residual = list(cap)
-                for e in path:
-                    residual[e] -= amount
-                    residual[e ^ 1] += amount
+                amount = min([cap[e] for e in edges])
                 # From s through a root-side aux arc and base arcs to y; read back
                 # without that arc, from a source to a sink.  A simple path crosses
                 # each base arc at most once, so the certificate must reproduce the length.
-                path = tuple(path[:-1] if self.reversed else path[-2::-1])
+                path = tuple(edges[:-1] if self.reversed else edges[-2::-1])
                 named = (len(paths), root | (want ^ sink_bits) & care)
                 if (len({e >> 1 for e in path}) < len(path)
                         or sum([self.cost[e] for e in path]) != length):
@@ -308,9 +320,20 @@ class ProfileCache:
                 if lengths and length < lengths[-1]:
                     raise InvariantViolation("segment %d of subset %#x is shorter than "
                                              "the one before" % named)
-                stack.append((residual, after, care, want, paths + (path,), lengths + (length,),
-                              amount_sums + (amount_sums[-1] + amount,),
-                              moment_sums + (moment_sums[-1] + amount * length,)))
+                child = (lengths + (length,), amount_sums + (amount_sums[-1] + amount,),
+                         moment_sums + (moment_sums[-1] + amount * length,), paths + (path,))
+                # Covered (as any need <= 0 is): cut before the copies, a leaf if need > 0.
+                need = most(root, care, want)[1] if most else None
+                if need is not None and den * (child[1][-1] * length - child[2][-1]) >= need:
+                    if need > 0:
+                        leaves.append((care, want, FlowProfile(*child, *scales)))
+                    continue
+                after = [p + (dv if dv < d else d) for p, dv in zip(pot, dist)]
+                residual = list(cap)
+                for e in edges:
+                    residual[e] -= amount
+                    residual[e ^ 1] += amount
+                stack.append((residual, after, care, want, *child))
         return leaves
 
     def subsets(self) -> range:
@@ -321,15 +344,17 @@ class ProfileCache:
             raise ResourceCapExceeded(k, self.subset_cap, "terminals")
         return range(1 << k)
 
-    def profile(self, subset: TerminalSet | int) -> FlowProfile:
+    def profile(self, subset: TerminalSet | int, b: SupplyVector | None = None) -> FlowProfile:
+        """The subset's profile off its full tree, or with ``b`` off b's unless that is built."""
         bits = _bits(self.network, subset) if isinstance(subset, TerminalSet) else subset
-        if bits & ~self.tree_bits in self._trees:
-            return self._leaf(bits)
-        return compute_profile(self.network, bits, cache=self)
+        root = bits & ~self.tree_bits
+        if root in self._trees or b is not None and root in self._needs(b)[2]:
+            return self._leaf(bits, b)
+        return compute_profile(self.network, bits, cache=self, b=b)
 
     def leaves(self):
-        """``(root, care, want, profile)`` per leaf of every tree, each tree
-        built by one ``compute_profile`` call on its root; raises
+        """``(root, care, want, profile)`` per leaf of every full tree, each
+        tree built by one ``compute_profile`` call on its root; raises
         ResourceCapExceeded when k is over the subset cap."""
         for root in self.subsets():
             if not root & self.tree_bits:
@@ -337,38 +362,53 @@ class ProfileCache:
                     compute_profile(self.network, root, cache=self)
                 yield from ((root, *leaf) for leaf in self._trees[root])
 
-    def groups(self, b: SupplyVector) -> tuple[int, list[tuple[FlowProfile, int, int]]]:
-        """``(supply_scale, groups)`` for ``b``, built once: the lcm of the
-        supply denominators, and per tree leaf ``(profile, need, bits)``, the
-        largest net supply of its cube times ``supply_scale * rate_scale *
-        time_scale`` and the least subset attaining it: the fixed terminals
-        and the free ones of positive supply (of zero supply, the AND of the
-        minimizers leaves them out).  Only positive needs are kept.  Raises
-        ValueError unless ``b`` has k entries; the last ``b`` is held by
-        reference, so asking again for it hashes nothing."""
+    def _needs(self, b: SupplyVector) -> list:
+        """``[den, most, trees, groups]`` for ``b``, made once: the lcm of its
+        denominators; ``most(root, care, want)``, a cube's least subset of
+        largest net supply (fixed terminals, and free ones of positive supply:
+        the AND of the minimizers leaves zero ones out) and that supply times
+        ``den * rate_scale * time_scale``; the trees bounded by ``b``; and
+        ``groups(b)``.  ValueError unless ``b`` has k entries; the last ``b``
+        is held by reference, so asking again for it hashes nothing."""
         if b is self._last[0]:
             return self._last[1]
-        hit = self._groups.get(b)
-        if hit is None:
+        needs = self._needs_of.get(b)
+        if needs is None:
             if len(b.values) != self.k:
                 raise ValueError("supply vector has %d entries for %d terminals"
                                  % (len(b.values), self.k))
-            den = scale_lcm(x.denominator for x in b.values)
+            den, sink_bits = scale_lcm(x.denominator for x in b.values), self.sink_bits
             unit = den * self.rate_scale * self.time_scale
             values = [x.numerator * (unit // x.denominator) for x in b.values]
             positive = sum(1 << i for i, x in enumerate(values) if x > 0) & self.tree_bits
+
+            def most(root, care, want):
+                bits = root | (want ^ sink_bits) & care | positive & ~care
+                return bits, sum([x for i, x in enumerate(values) if bits >> i & 1])
+            needs = self._needs_of[b] = [den, most, {}, None]
+        self._last = (b, needs)
+        return needs
+
+    def groups(self, b: SupplyVector) -> tuple[int, list[tuple[FlowProfile, int, int]]]:
+        """``(supply_scale, groups)`` for ``b``: ``den``, and ``(profile, need,
+        bits)`` per leaf of positive need, its cube's ``most``, off the full
+        tree if built, else b's, built by one ``compute_profile`` call."""
+        den, most, trees, hit = needs = self._needs(b)
+        if hit is None:
             groups = []
-            for root, care, want, profile in self.leaves():
-                bits = root | (want ^ self.sink_bits) & care | positive & ~care
-                need = sum([x for i, x in enumerate(values) if bits >> i & 1])
-                if need > 0:
-                    groups.append((profile, need, bits))
-            hit = self._groups[b] = (den, groups)
-        self._last = (b, hit)
+            for root in self.subsets():
+                if not root & self.tree_bits:
+                    if root not in self._trees and root not in trees:
+                        compute_profile(self.network, root, cache=self, b=b)
+                    for care, want, profile in self._trees.get(root, trees.get(root)):
+                        bits, need = most(root, care, want)
+                        if need > 0:
+                            groups.append((profile, need, bits))
+            hit = needs[3] = (den, groups)
         return hit
 
     def __len__(self) -> int:
-        return len(self._trees)
+        return len(self._trees) + sum([len(needs[2]) for needs in self._needs_of.values()])
 
 
 def cache_for(network: FlowNetwork, cache: ProfileCache | None) -> ProfileCache:

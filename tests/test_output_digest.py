@@ -21,3 +21,6 @@ def test_output_digest_on_two_seeds():
     assert len(set(first.values())) == len(first)
     assert tool.digests(range(2)) == first
     assert tool.digests(range(1, 3)) != first
+    # the k = 8 gen recipes, as generated and with zero supplies
+    wide = tool.digests(range(0), tool.WIDE[:2])
+    assert list(wide) == list(first) and not set(wide.values()) & set(first.values())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from transship import (ProfileCache, ResourceCapExceeded, SupplyVector, TerminalSet,
                        generate_instance, is_feasible, min_slack, minimize_slack,
                        net_supply, parse_instance, solve_newton_jumps, solver, ssp,
-                       value_at)
+                       theta_star_bruteforce, value_at)
 from transship.horizon import all_breakpoints
 from test_rational import instances, scan_every_subset
 
@@ -66,16 +66,18 @@ class TestBruteForceMinimizer:
         assert not is_feasible(net, b, F(2))
 
     def test_shared_cache_reused(self, instance_b, monkeypatch):
-        # the first envelope builds every tree, one per sink set of the
-        # reversed layout; one at another deadline runs no search
+        # the first envelope builds one tree bounded by b per root-side set,
+        # the sink sets of the reversed layout, and no full tree; one at
+        # another deadline runs no search
         net, b = instance_b
         cache = ProfileCache(net)
         minimize_slack(net, b, F(2), cache=cache)
-        assert len(cache) == 2
+        roots = 1 << bin(~cache.tree_bits & (1 << net.k) - 1).count("1")
+        assert cache.reversed and len(cache) == roots == 2
         searches, real = [], ssp._search
         monkeypatch.setattr(ssp, "_search", lambda *args: searches.append(args) or real(*args))
         minimize_slack(net, b, F(3), cache=cache)
-        assert searches == [] and len(cache) == 2
+        assert searches == [] and len(cache) == roots
 
 
 class TestCapAndStrategy:
@@ -93,22 +95,33 @@ class TestCapAndStrategy:
 
 
 def check_group_envelope(network, b, reference=None):
-    """The group envelope equals the per-subset scan, value and minimal
-    minimizer, at every deadline the jumps solver visits and at every
-    breakpoint.  ``reference`` is the cache the scan looks its profiles up
-    in, a fresh one by default."""
-    cache, visited, envelope = ProfileCache(network), [], solver.minimize_slack
+    """Groups from trees bounded by ``b`` (a fresh cache, which a solve
+    fills) and from full trees (a cache whose trees were built first, which
+    ``groups`` reuses) agree with the per-subset scan, value and minimal
+    minimizer, at every deadline the jumps solver visits, at every
+    breakpoint and at theta* + 1, and give the same brute-force theta*.
+    ``reference`` is the cache the scan looks its profiles up in, a fresh
+    one by default."""
+    bounded, visited, envelope = ProfileCache(network), [], solver.minimize_slack
 
     def recorded(network, b, theta, **kwargs):
         visited.append(theta)
         return envelope(network, b, theta, **kwargs)
     with mock.patch.object(solver, "minimize_slack", recorded):
-        solve_newton_jumps(network, b, cache=cache)
+        star = solve_newton_jumps(network, b, cache=bounded).theta_star
+    full = ProfileCache(network)
+    bends = all_breakpoints(full)
     reference = reference or ProfileCache(network)
     profiles = [reference.profile(bits) for bits in range(1 << network.k)]
-    for theta in sorted(set(visited) | all_breakpoints(cache)):
-        found = minimize_slack(network, b, theta, cache=cache)
-        assert (found.value, found.subset.bits) == scan_every_subset(network, b, theta, profiles)
+    for cache in (bounded, full):
+        assert theta_star_bruteforce(network, b, cache=cache) == star
+    for theta in sorted(set(visited) | bends | {star + 1}):
+        expected = scan_every_subset(network, b, theta, profiles)
+        for cache in (bounded, full):
+            found = minimize_slack(network, b, theta, cache=cache)
+            assert (found.value, found.subset.bits) == expected
+    # one tree per root-side set in each: bounded trees only, full ones only
+    assert len(bounded) == len(full)
 
 
 def wide_instance(seed):
@@ -129,8 +142,9 @@ def zero_supplies(network, b):
 
 
 class TestGroupEnvelope:
-    """``minimize_slack`` scans one group per tree leaf; it must agree with
-    a scan of every subset."""
+    """``minimize_slack`` scans one group per tree leaf, on trees bounded by
+    the supply vector or on full ones; it must agree with a scan of every
+    subset."""
 
     def test_corpus_slice(self, corpus):
         for entry in corpus[:60]:

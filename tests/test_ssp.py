@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -255,6 +257,62 @@ class TestProfileTree:
                     == oriented_reference(net, subset)
 
 
+class TestBoundedTrees:
+    """A solve builds each tree bounded by its supply vector's needs, and
+    reads no full tree."""
+
+    @pytest.mark.parametrize("seed, count, full", [(1, 55, 157), (2, 39, 69)])
+    def test_solve_searches(self, monkeypatch, seed, count, full):
+        net, b = parse_instance(generate_instance(n=12, m=24, k=8, max_u=10, max_tau=10,
+                                                  max_b=30, seed=seed))
+        searches = TestProfileTree.count_searches(monkeypatch)
+        cache = ProfileCache(net)
+        star = solve_newton_jumps(net, b, cache=cache).theta_star
+        roots = 1 << bin(~cache.tree_bits & (1 << net.k) - 1).count("1")
+        # one bounded tree per root-side set, and no full tree
+        assert len(searches) == count and len(cache) == roots
+        searches.clear()
+        assert theta_star_bruteforce(net, b, cache=ProfileCache(net)) == star
+        assert len(searches) == count
+        searches.clear()
+        list(ProfileCache(net).leaves())
+        assert len(searches) == full
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_truncated_profile_leaks(self, seed):
+        # after a solve, a profile asked for without a supply vector is the
+        # full one, though the solve read truncated ones
+        net, b = parse_instance(generate_instance(n=12, m=24, k=8, max_u=10, max_tau=10,
+                                                  max_b=30, seed=seed))
+        cache, fresh = ProfileCache(net), ProfileCache(net)
+        result = solve_newton_jumps(net, b, cache=cache)
+        read = [record.subset.bits for record in result.trace]
+        assert any(cache.profile(bits, b).lengths != fresh.profile(bits).lengths
+                   for bits in cache.subsets())
+        for bits in cache.subsets():
+            assert cache.profile(bits) == fresh.profile(bits)
+        # the full trees are now built, and the solve path reads them
+        assert all(cache.profile(bits, b) is cache.profile(bits) for bits in read)
+
+    def test_solved_cache_freed_without_the_cycle_collector(self):
+        # a cache that held itself through its supply vectors' records would
+        # wait for the cycle collector, and a long run of solves would pile
+        # up caches between its passes
+        net, b = parse_instance(generate_instance(n=12, m=24, k=8, max_u=10, max_tau=10,
+                                                  max_b=30, seed=1))
+        cache = ProfileCache(net)
+        solve_newton_jumps(net, b, cache=cache)
+        freed = weakref.ref(cache)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del cache
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestLazySegments:
     """A profile's rational ``Segment``s are built only when something reads
     them; on the solve path that is ``value_at``'s re-check of each envelope
@@ -344,12 +402,15 @@ class TestProfileCache:
         assert cache.groups(other) != first
         assert cache.groups(twin) is first
         assert cache.groups(b) is first
-        # reversed, so the trees grow over the sources, bits 0 and 1; with
-        # sink 2 outside, each source set ends at a leaf of its own, and {}
-        # needs nothing; with sink 2 inside, nothing flows, so that tree is
-        # one leaf, whose largest need, of {0, 1, 2}, is 0
+        # reversed, so the trees grow over the sources, bits 0 and 1, from
+        # the root-side sets of sink 2; with sink 2 outside, each source set
+        # ends at a leaf of its own, and {} needs nothing; with sink 2
+        # inside, the largest need, of {0, 1, 2}, is 0, so that tree is
+        # dropped whole.  Each of the two vectors holds one bounded tree per
+        # root-side set.
         supply_scale, groups = first
-        assert supply_scale == 1 and len(cache) == 2
+        roots = 1 << bin(~cache.tree_bits & (1 << net.k) - 1).count("1")
+        assert supply_scale == 1 and roots == 2 and len(cache) == 2 * roots
         assert sorted((bits, need, profile.lengths) for profile, need, bits in groups) \
             == [(0b001, 5, (0,)), (0b010, 1, (1,)), (0b011, 6, (0, 1))]
 

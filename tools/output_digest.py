@@ -7,9 +7,12 @@ equal lines mean the two trees gave byte-identical outputs.
 
 The instances are corpus seeds 0-59 and a rational variant of each, in
 which every arc's capacity and transit time is divided by its own seeded
-denominator in 1..12.  Each line is the sha256 of one kind of output over
-all instances: every subset profile, then one CLI command, where each call
-contributes its exit code, stdout and stderr.  ``feas`` runs at theta* and
+denominator in 1..12, then the ``gen`` instances of ``WIDE`` (k = 8 and
+10, where bounded profile trees cut the most branches) in both layouts,
+each as generated and with two terminals of zero supply.  Each line is the
+sha256 of one kind of output over all instances: every subset profile,
+then one CLI command, where each call contributes its exit code, stdout
+and stderr.  ``feas`` runs at theta* and
 theta* - 1/2 and ``extract`` at theta*, theta* read from ``solve``.
 
 "subset value functions" keeps of each profile only its grid scales and
@@ -36,6 +39,9 @@ from transship.instances import dump_document, generate_instance, parse_instance
 from transship.ssp import ProfileCache
 
 SEEDS = range(60)
+# k = 8 and 10 in both layouts: more sources than sinks is laid out reversed.
+WIDE = (dict(n=12, m=24, k=8, seed=1), dict(n=12, m=24, k=8, seed=2),
+        dict(n=14, m=30, k=10, seed=10), dict(n=14, m=30, k=10, seed=4))
 
 
 def rational_variant(doc: dict, seed: int) -> dict:
@@ -48,11 +54,26 @@ def rational_variant(doc: dict, seed: int) -> dict:
     return dict(doc, arcs=arcs)
 
 
-def documents(seeds):
+def zero_supplies(doc: dict) -> dict:
+    """The first source's supply moved onto the last source, and the first
+    sink's demand onto the last sink."""
+    sources = [dict(entry) for entry in doc["sources"]]
+    sinks = [dict(entry) for entry in doc["sinks"]]
+    sources[-1]["supply"] += sources[0]["supply"]
+    sinks[-1]["demand"] += sinks[0]["demand"]
+    sources[0]["supply"] = sinks[0]["demand"] = 0
+    return dict(doc, sources=sources, sinks=sinks)
+
+
+def documents(seeds, wide=()):
     for seed in seeds:
         doc = generate_instance(**corpus_params(seed))
         yield doc
         yield rational_variant(doc, seed)
+    for params in wide:
+        doc = generate_instance(max_u=10, max_tau=10, max_b=30, **params)
+        yield doc
+        yield zero_supplies(doc)
 
 
 def value_function(profile) -> tuple:
@@ -75,12 +96,13 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def digests(seeds) -> dict[str, str]:
-    """One sha256 hex digest per output kind, over both variants of every seed."""
+def digests(seeds, wide=()) -> dict[str, str]:
+    """One sha256 hex digest per output kind, over both variants of every
+    corpus seed and of every ``gen`` recipe in ``wide``."""
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.json")
-        for doc in documents(seeds):
+        for doc in documents(seeds, wide):
             cache = ProfileCache(parse_instance(doc)[0])
             each = list(map(cache.profile, cache.subsets()))
             profiles = [(p.segments, p.lengths, p.amount_sums, p.moment_sums)
@@ -111,5 +133,5 @@ def digests(seeds) -> dict[str, str]:
 
 
 if __name__ == "__main__":
-    for name, digest in digests(SEEDS).items():
+    for name, digest in digests(SEEDS, WIDE).items():
         print("%s  %s" % (digest, name))
